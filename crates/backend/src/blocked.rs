@@ -2,9 +2,9 @@
 //! panel, and each target row is streamed **once per panel** instead of
 //! once per source row.
 
-use crate::split::{split_rows, with_scatter_scratch};
+use crate::scratch::with_scatter_scratch;
 use crate::{cost, ComputeBackend, KernelContext};
-use gmp_gpusim::pool::parallel_for_chunks;
+use gmp_gpusim::pool::for_each_chunk;
 use gmp_gpusim::Executor;
 use gmp_sparse::{CsrMatrix, DenseMatrix};
 use std::ops::Range;
@@ -12,8 +12,7 @@ use std::ops::Range;
 /// Panel budget: keep the densified source rows within ~4 MiB so the panel
 /// stays L2/L3-resident while a target row streams across it.
 const PANEL_BYTES: usize = 4 * 1024 * 1024;
-/// Diminishing returns past this many panel rows; also bounds the per-block
-/// output-slice table.
+/// Diminishing returns past this many panel rows.
 const MAX_PANEL_ROWS: usize = 32;
 
 /// Cache-blocked backend: CSR working-set rows are mirrored into a
@@ -98,50 +97,30 @@ fn fill_rows_blocked(
     let norms = ctx.norms;
     let ncols = data.ncols();
     let b = panel_rows(ncols);
-    let rows_slices = split_rows(out, src_rows.len());
-    // The per-chunk body; `panel` is a zeroed `b * ncols` scratch each
-    // block scatters into and un-scatters out of.
-    let run = |chunk: Range<usize>, panel: &mut [f64]| {
-        // Fixed-size output-slice table (the panel is capped at
-        // MAX_PANEL_ROWS) so the steady-state hot path stays allocation-free.
-        let mut out_rows: [Option<&mut [f64]>; MAX_PANEL_ROWS] = [const { None }; MAX_PANEL_ROWS];
-        let mut block_start = chunk.start;
-        while block_start < chunk.end {
-            let block = block_start..(block_start + b).min(chunk.end);
-            block_start = block.end;
-            for (pi, bi) in block.clone().enumerate() {
-                let row = src.row(src_rows[bi]);
-                row.scatter(&mut panel[pi * ncols..(pi + 1) * ncols]);
-                // SAFETY: chunks partition the index range and blocks
-                // partition a chunk, so each `bi` is dereferenced by
-                // exactly one worker thread, exactly once per call.
-                out_rows[pi] = Some(unsafe { rows_slices.row(bi) });
-            }
-            for (jo, j) in cols.clone().enumerate() {
-                let target = data.row(j);
-                let norm_j = norms[j];
-                for (pi, bi) in block.clone().enumerate() {
-                    let dot = target.dot_dense(&panel[pi * ncols..(pi + 1) * ncols]);
-                    // Filled for every in-block `pi` just above.
-                    if let Some(out_row) = out_rows[pi].as_deref_mut() {
-                        out_row[jo] = kind.eval(dot, src_norms[src_rows[bi]], norm_j);
+    let w = cols.len();
+    let rows = &mut out.as_mut_slice()[..src_rows.len() * w];
+    for_each_chunk(ctx.host_threads, w, rows, |first, piece| {
+        // The zeroed thread-local scratch doubles as the `b * ncols` panel
+        // (restored to zero by the per-block `clear_scatter`).
+        with_scatter_scratch(b * ncols, |panel| {
+            let piece_rows = &src_rows[first..first + piece.len() / w];
+            for (block, out_block) in piece_rows.chunks(b).zip(piece.chunks_mut(b * w)) {
+                for (pi, &r) in block.iter().enumerate() {
+                    src.row(r).scatter(&mut panel[pi * ncols..(pi + 1) * ncols]);
+                }
+                for (jo, j) in cols.clone().enumerate() {
+                    let target = data.row(j);
+                    let norm_j = norms[j];
+                    for (pi, &r) in block.iter().enumerate() {
+                        let dot = target.dot_dense(&panel[pi * ncols..(pi + 1) * ncols]);
+                        out_block[pi * w + jo] = kind.eval(dot, src_norms[r], norm_j);
                     }
                 }
+                for (pi, &r) in block.iter().enumerate() {
+                    src.row(r)
+                        .clear_scatter(&mut panel[pi * ncols..(pi + 1) * ncols]);
+                }
             }
-            for (pi, bi) in block.clone().enumerate() {
-                src.row(src_rows[bi])
-                    .clear_scatter(&mut panel[pi * ncols..(pi + 1) * ncols]);
-            }
-        }
-    };
-    if ctx.host_threads == 1 {
-        // Allocation-light path: thread-local zeroed scratch doubles as the
-        // panel (restored to zero by the per-block `clear_scatter`).
-        with_scatter_scratch(b * ncols, |scratch| run(0..src_rows.len(), scratch));
-        return;
-    }
-    parallel_for_chunks(ctx.host_threads, src_rows.len(), |chunk| {
-        let mut panel = vec![0.0; b * ncols];
-        run(chunk, &mut panel);
+        });
     });
 }

@@ -4,7 +4,8 @@
 //! launch — not the host loop structure a backend happens to use — so all
 //! backends charge these helpers verbatim. Swapping backends changes host
 //! wall-clock time but never `sim_s`, eval counts, or any other report
-//! field; the A/B rows in `BENCH_train.json` rely on this.
+//! field; `tests/backend_equivalence.rs` pins this, and `perfbench`'s
+//! scalar-vs-blocked layer rows rely on it.
 
 use crate::KernelContext;
 use gmp_gpusim::cost::KernelCost;

@@ -1,14 +1,12 @@
 //! The four kernel functions of §2.1 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// A kernel function `K(x_i, x_j)` evaluated from the dot product
 /// `x_i · x_j` and (for RBF) the squared norms of both operands.
 ///
 /// Evaluating from precomputed dot products is what makes batched kernel
 /// rows a matrix product (§3.3.1): the expensive part is the sparse dot,
 /// the kernel itself is a cheap scalar map applied afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelKind {
     /// Gaussian `exp(-γ ||x_i - x_j||²)` — the kernel used throughout the
     /// paper's evaluation.

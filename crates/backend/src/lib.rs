@@ -44,8 +44,8 @@ pub mod cost;
 pub mod functions;
 mod scalar;
 mod score;
+mod scratch;
 mod select;
-mod split;
 
 pub use blocked::BlockedBackend;
 pub use functions::KernelKind;

@@ -1,9 +1,9 @@
 //! The reference backend: per-row scatter/gather dots, exactly the loop
 //! structure the kernel oracle used before the backend seam existed.
 
-use crate::split::{split_rows, with_scatter_scratch};
+use crate::scratch::with_scatter_scratch;
 use crate::{cost, ComputeBackend, KernelContext};
-use gmp_gpusim::pool::parallel_for_chunks;
+use gmp_gpusim::pool::for_each_chunk;
 use gmp_gpusim::Executor;
 use gmp_sparse::{CsrMatrix, DenseMatrix};
 use std::ops::Range;
@@ -78,41 +78,21 @@ fn fill_rows(
     let kind = ctx.kind;
     let norms = ctx.norms;
     let ncols = data.ncols();
+    let rows = &mut out.as_mut_slice()[..src_rows.len() * cols.len()];
     // Each batch row is independent: scatter the source row once, then
     // gather-dot every target row in the range and apply the kernel map.
-    if ctx.host_threads == 1 {
-        // Allocation-free path: thread-local scatter scratch, direct
-        // `row_mut` writes (no pointer table needed).
+    for_each_chunk(ctx.host_threads, cols.len(), rows, |first, piece| {
         with_scatter_scratch(ncols, |scratch| {
-            for (bi, &r) in src_rows.iter().enumerate() {
+            for (out_row, &r) in piece.chunks_mut(cols.len()).zip(&src_rows[first..]) {
                 let row = src.row(r);
                 row.scatter(scratch);
                 let norm_r = src_norms[r];
-                for (o, j) in out.row_mut(bi).iter_mut().zip(cols.clone()) {
+                for (o, j) in out_row.iter_mut().zip(cols.clone()) {
                     let dot = data.row(j).dot_dense(scratch);
                     *o = kind.eval(dot, norm_r, norms[j]);
                 }
                 row.clear_scatter(scratch);
             }
         });
-        return;
-    }
-    let rows_slices = split_rows(out, src_rows.len());
-    parallel_for_chunks(ctx.host_threads, src_rows.len(), |chunk| {
-        let mut scratch = vec![0.0; ncols];
-        for bi in chunk {
-            let r = src_rows[bi];
-            let row = src.row(r);
-            row.scatter(&mut scratch);
-            let norm_r = src_norms[r];
-            // SAFETY: chunks partition the index range, so each `bi`
-            // is dereferenced by exactly one worker thread.
-            let out_row = unsafe { rows_slices.row(bi) };
-            for (o, j) in out_row.iter_mut().zip(cols.clone()) {
-                let dot = data.row(j).dot_dense(&scratch);
-                *o = kind.eval(dot, norm_r, norms[j]);
-            }
-            row.clear_scatter(&mut scratch);
-        }
     });
 }

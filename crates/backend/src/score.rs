@@ -1,7 +1,7 @@
 //! Row scoring: decision values gathered from a computed kernel block.
 
 use gmp_gpusim::cost::KernelCost;
-use gmp_gpusim::pool::parallel_update;
+use gmp_gpusim::pool::for_each_chunk;
 use gmp_gpusim::Executor;
 use gmp_sparse::DenseMatrix;
 
@@ -38,23 +38,25 @@ pub(crate) fn score_rows_impl(
     if out.is_empty() || scorers.is_empty() {
         return;
     }
-    parallel_update(host_threads, out, |ri, row| {
-        let krow = block.row(ri);
-        for s in scorers {
-            let mut v = 0.0;
-            match s.sv_idx {
-                Some(idx) => {
-                    for (&c, &svi) in s.coef.iter().zip(idx) {
-                        v += c * krow[svi as usize];
+    for_each_chunk(host_threads, 1, out, |first, piece| {
+        for (ri, row) in (first..).zip(piece.iter_mut()) {
+            let krow = block.row(ri);
+            for s in scorers {
+                let mut v = 0.0;
+                match s.sv_idx {
+                    Some(idx) => {
+                        for (&c, &svi) in s.coef.iter().zip(idx) {
+                            v += c * krow[svi as usize];
+                        }
+                    }
+                    None => {
+                        for (&c, &k) in s.coef.iter().zip(krow) {
+                            v += c * k;
+                        }
                     }
                 }
-                None => {
-                    for (&c, &k) in s.coef.iter().zip(krow) {
-                        v += c * k;
-                    }
-                }
+                row[s.out_col] = v - s.rho;
             }
-            row[s.out_col] = v - s.rho;
         }
     });
 }

@@ -2,7 +2,6 @@
 //! environment variable.
 
 use crate::{BlockedBackend, ComputeBackend, ScalarBackend};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which [`ComputeBackend`] implementation executes the numeric hot ops.
@@ -10,7 +9,7 @@ use std::sync::Arc;
 /// Orthogonal to the experiment `Backend` enum (which selects the *cost
 /// model* — GPU streams vs. host CPU): every experiment backend can run on
 /// every compute backend, and reports carry both labels.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum ComputeBackendKind {
     /// Per-row scatter/gather reference path ([`ScalarBackend`]).
     #[default]

@@ -6,12 +6,11 @@ use gmp_gpusim::{Device, DeviceConfig, DeviceError, Executor, Stream};
 use gmp_kernel::{BufferedRows, KernelKind, KernelOracle, ReplacementPolicy};
 use gmp_smo::{BatchedParams, BatchedSmoSolver, ClassicSmoSolver, SmoParams};
 use gmp_sparse::{CsrBuilder, CsrMatrix};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Result of training one comparator on one dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparatorReport {
     /// System name.
     pub name: String,

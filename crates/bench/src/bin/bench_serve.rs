@@ -19,13 +19,12 @@
 //!   parallelize, so the wall delta only reflects scheduling/coalescing
 //!   overheads, not the device-side win.
 //!
-//! Emits `BENCH_serve.json` at the workspace root next to
-//! `BENCH_train.json`.
+//! Prints one line per arm. The repeatable, gated serving measurement is
+//! `perfbench` (see `perfbench/README.md`).
 
 use gmp_datasets::BlobSpec;
 use gmp_serve::{PredictorEngine, ServeConfig, Server};
 use gmp_svm::{Backend, MpSvmModel, MpSvmTrainer, ServeReport, SvmParams};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 // More clients than `max_batch`, so the batched arm coalesces full batches
@@ -35,8 +34,6 @@ const REQUESTS_PER_CLIENT: usize = 40;
 
 struct ArmResult {
     name: &'static str,
-    max_batch: usize,
-    wall_s: f64,
     throughput_rps: f64,
     report: ServeReport,
 }
@@ -81,36 +78,9 @@ fn run_arm(
     assert!(report.is_balanced(), "ledger imbalance: {report:?}");
     ArmResult {
         name,
-        max_batch,
-        wall_s,
         throughput_rps: served as f64 / wall_s,
         report,
     }
-}
-
-fn arm_json(a: &ArmResult) -> String {
-    format!(
-        "    {{\"name\": \"{}\", \"max_batch\": {}, \"wall_s\": {:.4}, \
-         \"throughput_rps\": {:.1}, \"sim_throughput_rps\": {:.1}, \
-         \"scoring_sim_s\": {:.6}, \"served\": {}, \"batches\": {}, \
-         \"mean_batch_size\": {:.3}, \"peak_queue_depth\": {}, \
-         \"latency_p50_us\": {}, \"latency_p95_us\": {}, \"latency_p99_us\": {}, \
-         \"latency_mean_us\": {:.1}}}",
-        a.name,
-        a.max_batch,
-        a.wall_s,
-        a.throughput_rps,
-        a.report.sim_throughput_rps(),
-        a.report.scoring_sim_s,
-        a.report.served,
-        a.report.batches,
-        a.report.mean_batch_size(),
-        a.report.peak_queue_depth,
-        a.report.latency.quantile_us(0.50),
-        a.report.latency.quantile_us(0.95),
-        a.report.latency.quantile_us(0.99),
-        a.report.latency.mean_us(),
-    )
 }
 
 fn main() {
@@ -182,32 +152,4 @@ fn main() {
         );
     }
     println!("micro-batching speedup: {sim_speedup:.2}x simulated-device, {wall_speedup:.2}x wall");
-
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"serve\",\n");
-    let _ = writeln!(
-        out,
-        "  \"model\": {{\"classes\": {}, \"dim\": {}, \"n_sv\": {}, \"binaries\": {}}},",
-        model.classes,
-        model.sv_pool.ncols(),
-        model.n_sv(),
-        model.binaries.len()
-    );
-    let _ = writeln!(
-        out,
-        "  \"clients\": {CLIENTS},\n  \"requests_per_client\": {REQUESTS_PER_CLIENT},"
-    );
-    out.push_str("  \"arms\": [\n");
-    let _ = writeln!(out, "{},", arm_json(&single));
-    let _ = writeln!(out, "{}", arm_json(&batched));
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"microbatch_speedup\": {sim_speedup:.3},\n  \"microbatch_speedup_wall\": {wall_speedup:.3}"
-    );
-    out.push_str("}\n");
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    std::fs::write(&path, out).expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
 }

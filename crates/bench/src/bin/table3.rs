@@ -8,7 +8,7 @@
 
 use gmp_bench::{
     fmt_s, measure_on, measure_on_with_threads, params_for, print_banner, print_table, results_dir,
-    split_for, table3_backends, write_bench_json, write_tsv, Measurement,
+    split_for, table3_backends, write_tsv, Measurement,
 };
 use gmp_datasets::PaperDataset;
 use gmp_svm::Backend;
@@ -134,8 +134,5 @@ fn main() {
 
     let path = results_dir().join("table3.tsv");
     write_tsv(&path, &all);
-    let json_path = gmp_bench::bench_json_path();
-    write_bench_json(&json_path, "table3", &all);
     println!("\nresults written to {}", path.display());
-    println!("benchmark artifact written to {}", json_path.display());
 }

@@ -10,10 +10,9 @@
 use gmp_datasets::{Dataset, PaperDataset, SplitDataset};
 use gmp_svm::predict::error_rate;
 use gmp_svm::{Backend, MpSvmTrainer, SvmParams};
-use serde::{Deserialize, Serialize};
 
 /// One (dataset, backend) measurement: the unit of Table 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
     /// Dataset name.
     pub dataset: String,
@@ -123,7 +122,7 @@ pub fn measure_on(
 
 /// Like [`measure_on`] with an explicit host-thread count for the GMP
 /// backend's concurrent waves (`None` = auto) — the knob behind the
-/// host-parallelism A/B rows of `BENCH_train.json`.
+/// host-parallelism A/B rows of `table3`.
 pub fn measure_on_with_threads(
     split: &SplitDataset,
     name: &str,
@@ -198,13 +197,6 @@ pub fn results_dir() -> std::path::PathBuf {
     p
 }
 
-/// Workspace-root path of the `BENCH_train.json` artifact — anchored via
-/// the crate manifest so binaries (cwd = invocation dir) and benches
-/// (cwd = package dir) agree on the location.
-pub fn bench_json_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_train.json")
-}
-
 /// Write measurements as TSV.
 pub fn write_tsv(path: &std::path::Path, ms: &[Measurement]) {
     use std::fmt::Write as _;
@@ -265,86 +257,6 @@ pub fn read_tsv(path: &std::path::Path) -> Option<Vec<Measurement>> {
         });
     }
     Some(out)
-}
-
-/// Escape a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialize a float so the JSON stays valid (NaN/inf have no literal).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Write measurements as a machine-readable JSON benchmark artifact
-/// (`BENCH_train.json`): wall/simulated seconds, kernel evals and rows
-/// computed per backend×dataset, so the perf trajectory is trackable
-/// across changes. Hand-rolled writer: the vendored serde has no
-/// serializer.
-pub fn write_bench_json(path: &std::path::Path, bench: &str, ms: &[Measurement]) {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"{}\",", json_escape(bench));
-    let _ = writeln!(
-        out,
-        "  \"scale_multiplier\": {},",
-        json_f64(scale_multiplier())
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, m) in ms.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"dataset\": \"{}\", \"backend\": \"{}\", \"compute_backend\": \"{}\", \
-             \"host_threads\": {}, \
-             \"train_wall_s\": {}, \"train_sim_s\": {}, \
-             \"train_kernel_evals\": {}, \"train_rows_computed\": {}, \
-             \"predict_wall_s\": {}, \"predict_sim_s\": {}, \
-             \"predict_kernel_evals\": {}, \"test_error\": {}, \"converged\": {}",
-            json_escape(&m.dataset),
-            json_escape(&m.backend),
-            json_escape(&m.compute_backend),
-            m.host_threads,
-            json_f64(m.train_wall_s),
-            json_f64(m.train_sim_s),
-            m.train_kernel_evals,
-            m.train_rows_computed,
-            json_f64(m.predict_wall_s),
-            json_f64(m.predict_sim_s),
-            m.predict_kernel_evals,
-            json_f64(m.test_error),
-            m.converged
-        );
-        out.push('}');
-        if i + 1 < ms.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    // gmp:allow-panic — bench harness fails fast on result-file I/O errors
-    std::fs::write(path, out).expect("write bench json");
 }
 
 /// Banner printed by every experiment binary: scale disclosure.
@@ -423,39 +335,6 @@ mod tests {
         assert_eq!(back[0].train_rows_computed, 3);
         assert_eq!(back[0].host_threads, 4);
         assert!(back[0].converged);
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let m = Measurement {
-            dataset: "adult \"q\"".into(),
-            backend: "gmp\\x".into(),
-            compute_backend: "blocked".into(),
-            train_sim_s: 1.5,
-            predict_sim_s: 0.25,
-            train_wall_s: 2.0,
-            predict_wall_s: 0.5,
-            train_kernel_evals: 10,
-            train_rows_computed: 3,
-            predict_kernel_evals: 5,
-            host_threads: 2,
-            train_error: 0.01,
-            test_error: f64::NAN,
-            bias: -0.5,
-            converged: true,
-        };
-        let path = std::env::temp_dir().join("gmp_bench_json_test.json");
-        write_bench_json(&path, "table3", &[m]);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"bench\": \"table3\""));
-        assert!(text.contains("\"dataset\": \"adult \\\"q\\\"\""));
-        assert!(text.contains("\"backend\": \"gmp\\\\x\""));
-        assert!(text.contains("\"compute_backend\": \"blocked\""));
-        assert!(text.contains("\"host_threads\": 2"));
-        assert!(text.contains("\"test_error\": null"));
-        // Balanced braces/brackets => structurally sound for this flat shape.
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
     }
 
     #[test]

@@ -3,13 +3,12 @@
 use gmp_kernel::KernelKind;
 use gmp_prob::SigmoidParams;
 use gmp_sparse::{CsrBuilder, CsrMatrix};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 
 /// One binary probabilistic SVM of the pairwise-coupling ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinarySvm {
     /// Class pair `(s, t)` with `s < t`; `decision > 0` votes class `s`.
     pub s: u16,
@@ -38,7 +37,7 @@ impl BinarySvm {
 /// from each binary SVM — the paper's support-vector sharing, which both
 /// shrinks the model by up to `(k-1)x` and lets prediction compute the
 /// test-by-SV kernel block a single time for all binary SVMs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MpSvmModel {
     /// Number of classes.
     pub classes: usize,

@@ -6,10 +6,9 @@ use crate::cv::cross_validate;
 use crate::params::{Backend, SvmParams};
 use crate::trainer::TrainError;
 use gmp_datasets::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// One evaluated grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridPoint {
     /// Penalty parameter.
     pub c: f64,
@@ -20,7 +19,7 @@ pub struct GridPoint {
 }
 
 /// Grid-search specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSearch {
     /// Candidate C values.
     pub c_values: Vec<f64>,

@@ -12,11 +12,10 @@ use gmp_gpusim::CpuExecutor;
 use gmp_kernel::{BufferedRows, KernelKind, KernelOracle, ReplacementPolicy};
 use gmp_smo::{BatchedParams, BatchedSmoSolver, SmoParams};
 use gmp_sparse::{CsrMatrix, DenseMatrix};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One-class SVM hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OneClassParams {
     /// Kernel function.
     pub kernel: KernelKind,
@@ -42,7 +41,7 @@ impl Default for OneClassParams {
 
 /// A trained one-class SVM: `decision(x) = Σ coef_j K(sv_j, x) - rho`;
 /// positive = inlier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OneClassModel {
     /// Kernel used at training time.
     pub kernel: KernelKind,

@@ -1,7 +1,6 @@
 //! One-vs-one (pairwise coupling) decomposition — Fig. 1 of the paper.
 
 use gmp_datasets::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// All `k(k-1)/2` ordered class pairs `(s, t)` with `s < t`, in LibSVM's
 /// enumeration order.
@@ -16,7 +15,7 @@ pub fn class_pairs(k: usize) -> Vec<(u16, u16)> {
 }
 
 /// A materialized binary subproblem: the instances of classes `s` and `t`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinaryProblem {
     /// Class pair (`s < t`).
     pub s: u16,

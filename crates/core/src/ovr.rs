@@ -16,11 +16,10 @@ use gmp_kernel::{BufferedRows, KernelKind, KernelOracle, ReplacementPolicy};
 use gmp_prob::{sigmoid_predict, sigmoid_train, SigmoidParams};
 use gmp_smo::{decision_values_for, decision_values_from_f, BatchedSmoSolver};
 use gmp_sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One binary one-vs-rest SVM (positive = its class).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OvrBinary {
     /// The positive class.
     pub class: u32,
@@ -35,7 +34,7 @@ pub struct OvrBinary {
 }
 
 /// A trained one-vs-rest ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OvrModel {
     /// Number of classes.
     pub classes: usize,

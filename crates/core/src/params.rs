@@ -3,10 +3,9 @@
 use gmp_gpusim::DeviceConfig;
 use gmp_kernel::{ComputeBackendKind, KernelKind, ReplacementPolicy};
 use gmp_smo::{BatchedParams, SmoParams};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters shared by every backend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvmParams {
     /// Kernel function (the paper evaluates with Gaussian kernels).
     pub kernel: KernelKind,
@@ -135,7 +134,7 @@ impl SvmParams {
 }
 
 /// Which implementation trains/predicts (Table 3's five columns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Backend {
     /// LibSVM-like: classic SMO per binary problem, sequential, on the
     /// host. `threads = 1` models plain LibSVM; `threads = 40` models

@@ -5,7 +5,7 @@ use crate::params::Backend;
 use crate::telemetry::PredictReport;
 use crate::trainer::{resolve_host_threads_opt, TrainError};
 use gmp_gpusim::cost::KernelCost;
-use gmp_gpusim::pool::parallel_fill;
+use gmp_gpusim::pool::for_each_chunk;
 use gmp_gpusim::{CpuExecutor, Device, Executor, Stream};
 use gmp_kernel::{ComputeBackendKind, KernelOracle, RowScorer};
 use gmp_prob::{couple_gaussian, sigmoid_predict, PairwiseProbs};
@@ -163,15 +163,14 @@ impl MpSvmModel {
             // Per-instance sigmoid application is embarrassingly parallel;
             // each slot is written by exactly one thread.
             pairwise = vec![PairwiseProbs::new(k.max(2)); m];
-            parallel_fill(ht, &mut pairwise, |i| {
-                let dv = &decision_values[i];
-                let mut r = PairwiseProbs::new(k.max(2));
-                for (bi, b) in self.binaries.iter().enumerate() {
-                    // gmp:allow-panic — guarded: has_probability() was checked by the caller of this path
-                    let sig = b.sigmoid.as_ref().expect("has_probability checked");
-                    r.set(b.s as usize, b.t as usize, sigmoid_predict(dv[bi], sig));
+            for_each_chunk(ht, 1, &mut pairwise, |first, piece| {
+                for (dv, r) in decision_values[first..].iter().zip(piece) {
+                    for (bi, b) in self.binaries.iter().enumerate() {
+                        // gmp:allow-panic — guarded: has_probability() was checked by the caller of this path
+                        let sig = b.sigmoid.as_ref().expect("has_probability checked");
+                        r.set(b.s as usize, b.t as usize, sigmoid_predict(dv[bi], sig));
+                    }
                 }
-                r
             });
             exec.charge(KernelCost::map((m * n_binaries) as u64, 8, 16));
         }
@@ -190,7 +189,11 @@ impl MpSvmModel {
                 (k * k * 8) as u64,
             ));
             probabilities = vec![Vec::new(); m];
-            parallel_fill(ht, &mut probabilities, |i| couple_gaussian(&pairwise[i]));
+            for_each_chunk(ht, 1, &mut probabilities, |first, piece| {
+                for (pw, slot) in pairwise[first..].iter().zip(piece) {
+                    *slot = couple_gaussian(pw);
+                }
+            });
             probabilities.iter().map(|p| argmax(p) as u32).collect()
         } else {
             // One-against-one voting.

@@ -21,12 +21,11 @@ use gmp_gpusim::{CpuExecutor, Executor};
 use gmp_kernel::{KernelKind, KernelOracle, KernelRows, RowProviderStats};
 use gmp_smo::{BatchedSmoSolver, SolverResult};
 use gmp_sparse::{CsrMatrix, DenseMatrix};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// ε-SVR hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvrParams {
     /// Kernel function.
     pub kernel: KernelKind,
@@ -69,7 +68,7 @@ impl From<SvmParams> for SvrParams {
 }
 
 /// A trained ε-SVR model: `ŷ(x) = Σ coef_j K(sv_j, x) - rho`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SvrModel {
     /// Kernel used at training time.
     pub kernel: KernelKind,

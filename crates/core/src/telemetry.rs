@@ -3,10 +3,9 @@
 
 use gmp_gpusim::DeviceStats;
 use gmp_smo::PhaseTimes;
-use serde::{Deserialize, Serialize};
 
 /// Per-binary-SVM training statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinaryTrainStats {
     /// Class pair.
     pub pair: (u16, u16),
@@ -27,7 +26,7 @@ pub struct BinaryTrainStats {
 }
 
 /// Aggregate training report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainReport {
     /// Backend label (Table 3 column).
     pub backend: String,
@@ -78,7 +77,7 @@ impl TrainReport {
 }
 
 /// Aggregate prediction report (Fig. 12's three components).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PredictReport {
     /// Backend label.
     pub backend: String,
@@ -119,7 +118,7 @@ impl PredictReport {
 /// stored samples. Bucket `i` holds durations in `[2^i, 2^(i+1)) µs`
 /// (bucket 0 also absorbs sub-microsecond values); quantiles report the
 /// bucket's upper bound, i.e. they are conservative to within 2x.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     /// Per-bucket counts.
     buckets: Vec<u64>,
@@ -216,7 +215,7 @@ impl LatencyHistogram {
 /// Snapshot of the online-serving counters (`gmp-serve`): admission,
 /// batching, and end-to-end latency. Produced by the serving subsystem's
 /// metrics recorder; everything here is cumulative since server start.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Requests accepted into the queue.
     pub accepted: u64,

@@ -6,6 +6,7 @@ use crate::params::{Backend, SvmParams};
 use crate::telemetry::{BinaryTrainStats, TrainReport};
 use gmp_datasets::Dataset;
 use gmp_gpusim::cost::KernelCost;
+use gmp_gpusim::pool::for_each_chunk;
 use gmp_gpusim::{CpuExecutor, Device, DeviceError, Executor, Stream};
 use gmp_kernel::{
     BufferedRows, ClassLayout, KernelOracle, ReplacementPolicy, SharedKernelStore, SharedRows,
@@ -527,81 +528,36 @@ impl MpSvmTrainer {
         let solver = BatchedSmoSolver::new(self.params.batched());
         let host_threads = self.resolve_host_threads();
         let mut fits: Vec<Option<BinaryFit>> = (0..problems.len()).map(|_| None).collect();
-        for wave in (0..problems.len()).collect::<Vec<_>>().chunks(conc) {
+        for (w, wave_fits) in fits.chunks_mut(conc).enumerate() {
+            let wave = &problems[w * conc..w * conc + wave_fits.len()];
             let frac = 1.0 / wave.len() as f64;
             // Claim every active problem's working-set region up front, so
             // device-memory exhaustion surfaces as an error here rather
             // than a panic inside a worker thread. The regions live until
             // the whole wave retires — exactly the concurrency plan above.
             let mut ws_mems = Vec::with_capacity(wave.len());
-            for &pi in wave {
-                ws_mems.push(device.alloc(footprint(&problems[pi]))?);
+            for p in wave {
+                ws_mems.push(device.alloc(footprint(p))?);
             }
-            let workers = host_threads.min(wave.len()).max(1);
-            if workers == 1 {
-                // Sequential reference path (also the bit-exactness anchor
-                // for the concurrency tests).
-                for &pi in wave {
-                    fits[pi] = Some(self.solve_gmp_one(
-                        grouped,
-                        offsets,
-                        &problems[pi],
-                        &store,
-                        device,
-                        frac,
-                        &solver,
-                    ));
+            // The wave's binary problems run on real host threads, all
+            // hammering the one shared kernel store. Each thread takes a
+            // contiguous run of the wave, so the assignment is
+            // deterministic; single-flight in the store keeps each (row,
+            // class) segment computed once regardless of interleaving, and
+            // every per-problem result is independent of the thread count
+            // (pinned by the concurrency tests).
+            for_each_chunk(host_threads, 1, wave_fits, |first, piece| {
+                for (p, slot) in wave[first..].iter().zip(piece) {
+                    *slot = Some(
+                        self.solve_gmp_one(grouped, offsets, p, &store, device, frac, &solver),
+                    );
                 }
-            } else {
-                // Tentpole: the wave's binary problems run on real host
-                // threads, all hammering the one shared kernel store. Work
-                // is dealt round-robin so the assignment (and thus every
-                // per-problem result) is deterministic; single-flight in
-                // the store keeps each (row, class) segment computed once
-                // regardless of interleaving.
-                let solved = crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let store = &store;
-                            let solver = &solver;
-                            s.spawn(move |_| {
-                                let mut out: Vec<(usize, BinaryFit)> = Vec::new();
-                                for (wi, &pi) in wave.iter().enumerate() {
-                                    if wi % workers != w {
-                                        continue;
-                                    }
-                                    let fit = self.solve_gmp_one(
-                                        grouped,
-                                        offsets,
-                                        &problems[pi],
-                                        store,
-                                        device,
-                                        frac,
-                                        solver,
-                                    );
-                                    out.push((pi, fit));
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        // gmp:allow-panic — propagating a worker-thread panic; swallowing it would hide the original failure
-                        .flat_map(|h| h.join().expect("wave worker panicked"))
-                        .collect::<Vec<_>>()
-                })
-                // gmp:allow-panic — propagating a worker-thread panic; swallowing it would hide the original failure
-                .expect("wave scope panicked");
-                for (pi, fit) in solved {
-                    fits[pi] = Some(fit);
-                }
-            }
+            });
             drop(ws_mems);
-            let wave_max = wave
+            let wave_max = wave_fits
                 .iter()
                 // gmp:allow-panic — this wave just filled these slots
-                .map(|&pi| fits[pi].as_ref().expect("wave slot filled").sim_s)
+                .map(|f| f.as_ref().expect("wave slot filled").sim_s)
                 .fold(0.0f64, f64::max);
             total_sim += wave_max;
         }

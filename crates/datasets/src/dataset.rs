@@ -3,10 +3,9 @@
 use gmp_sparse::CsrMatrix;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A labeled dataset: CSR features plus integer class labels `0..k`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Feature matrix, one row per instance.
     pub x: CsrMatrix,

@@ -48,7 +48,9 @@ impl LibsvmStreamParser {
     }
 
     /// Consume one input line (without its newline). Blank lines and `#`
-    /// comments count for line numbering but add no row.
+    /// comments count for line numbering but add no row. A `nan`/`inf`
+    /// label or feature value is refused here, so it can never train into
+    /// a model.
     pub fn push_line(&mut self, line: &str) -> Result<(), ParseError> {
         self.lineno += 1;
         let line = line.trim();
@@ -62,6 +64,12 @@ impl LibsvmStreamParser {
             line: self.lineno,
             message: format!("bad label '{label_tok}'"),
         })?;
+        if !label.is_finite() {
+            return Err(ParseError {
+                line: self.lineno,
+                message: format!("non-finite label '{label_tok}'"),
+            });
+        }
         let mut feats: Vec<(u32, f64)> = Vec::new();
         let mut prev: Option<u32> = None;
         for tok in parts {
@@ -83,6 +91,12 @@ impl LibsvmStreamParser {
                 line: self.lineno,
                 message: format!("bad feature value '{val_s}'"),
             })?;
+            if !val.is_finite() {
+                return Err(ParseError {
+                    line: self.lineno,
+                    message: format!("non-finite feature value '{val_s}'"),
+                });
+            }
             let col = (idx - 1) as u32;
             if let Some(p) = prev {
                 if col <= p {
@@ -227,6 +241,20 @@ mod tests {
         let e = parse_libsvm("abc 1:1\n", 0).unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("bad label"));
+    }
+
+    #[test]
+    fn error_non_finite_numbers() {
+        for (src, bad_line) in [
+            ("1 1:1\nnan 1:1\n", 2),
+            ("1 1:1\n\n-inf 2:1\n", 3),
+            ("1 1:nan\n", 1),
+            ("# hdr\n1 1:0.5 2:inf\n", 2),
+        ] {
+            let e = parse_libsvm(src, 0).unwrap_err();
+            assert_eq!(e.line, bad_line, "{src:?}");
+            assert!(e.message.contains("non-finite"), "{src:?}: {}", e.message);
+        }
     }
 
     #[test]

@@ -9,10 +9,9 @@
 
 use crate::dataset::{Dataset, SplitDataset};
 use crate::synth::SynthSpec;
-use serde::{Deserialize, Serialize};
 
 /// The nine datasets of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaperDataset {
     /// Adult (a9a): 2 classes, 32,561 x 123, C=100, γ=0.5.
     Adult,
@@ -35,7 +34,7 @@ pub enum PaperDataset {
 }
 
 /// Published metadata of one dataset plus the generator profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Short name used in tables.
     pub name: &'static str,

@@ -4,14 +4,13 @@
 
 use crate::dataset::Dataset;
 use gmp_sparse::{CsrBuilder, CsrMatrix};
-use serde::{Deserialize, Serialize};
 
 /// Per-column affine scaling `x' = (x - min) * scale` fitted on training
 /// data and replayed on test data (LibSVM's `svm-scale -l 0 -u 1`).
 ///
 /// Only *stored* entries are transformed — structural zeros stay zero, as
 /// in `svm-scale`'s sparse behaviour when the column minimum is 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxScaler {
     mins: Vec<f64>,
     scales: Vec<f64>,

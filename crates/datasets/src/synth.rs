@@ -13,10 +13,9 @@ use crate::dataset::Dataset;
 use gmp_sparse::CsrBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Specification of a sparse, signature-based synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthSpec {
     /// Number of instances.
     pub n: usize,
@@ -113,7 +112,7 @@ impl SynthSpec {
 }
 
 /// Dense Gaussian blobs: one spherical cluster per class on a circle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlobSpec {
     /// Number of instances.
     pub n: usize,

@@ -1,11 +1,9 @@
 //! Hardware descriptions for the analytic cost models.
 
-use serde::{Deserialize, Serialize};
-
 /// Description of a simulated GPU.
 ///
 /// Defaults mirror the paper's testbed (Tesla P100, 12 GB variant).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Human-readable device name (reports only).
     pub name: String,
@@ -93,7 +91,7 @@ impl DeviceConfig {
 
 /// Description of a host CPU for the CPU-side cost model (LibSVM with and
 /// without OpenMP, and CMP-SVM).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostConfig {
     /// Human-readable name.
     pub name: String,

@@ -1,7 +1,6 @@
 //! Analytic launch cost model.
 
 use crate::config::{DeviceConfig, HostConfig};
-use serde::{Deserialize, Serialize};
 
 /// Description of one kernel launch (or one parallel region on the host).
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// the work: how many logical GPU threads, total FLOPs, and bytes moved
 /// through global memory. Constructors for the common patterns keep call
 /// sites honest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCost {
     /// Logical thread count (parallelism exposed by the launch).
     pub threads: u64,

@@ -16,8 +16,7 @@
 use crate::config::HostConfig;
 use crate::cost::{cpu_region_time, gpu_launch_time, KernelCost};
 use crate::memory::Device;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A sink for declared parallel work.
 pub trait Executor: Send + Sync {
@@ -83,20 +82,20 @@ impl Executor for Stream {
         self.device
             .stats_cell()
             .record_launch(cost.flops, cost.bytes_total(), t);
-        *self.clock_s.lock() += t;
+        *crate::lock(&self.clock_s) += t;
     }
 
     fn charge_transfer(&self, bytes: u64) {
         let t = self.device.transfer(bytes);
-        *self.clock_s.lock() += t;
+        *crate::lock(&self.clock_s) += t;
     }
 
     fn elapsed(&self) -> f64 {
-        *self.clock_s.lock()
+        *crate::lock(&self.clock_s)
     }
 
     fn advance(&self, seconds: f64) {
-        *self.clock_s.lock() += seconds;
+        *crate::lock(&self.clock_s) += seconds;
     }
 }
 
@@ -135,7 +134,7 @@ impl Executor for CpuExecutor {
     }
 
     fn charge(&self, cost: KernelCost) {
-        *self.clock_s.lock() += cpu_region_time(&self.config, &cost);
+        *crate::lock(&self.clock_s) += cpu_region_time(&self.config, &cost);
     }
 
     fn charge_transfer(&self, _bytes: u64) {
@@ -143,11 +142,11 @@ impl Executor for CpuExecutor {
     }
 
     fn elapsed(&self) -> f64 {
-        *self.clock_s.lock()
+        *crate::lock(&self.clock_s)
     }
 
     fn advance(&self, seconds: f64) {
-        *self.clock_s.lock() += seconds;
+        *crate::lock(&self.clock_s) += seconds;
     }
 }
 
@@ -237,17 +236,16 @@ mod tests {
         for _ in 0..200 {
             reference.charge(KernelCost::reduction(1 << 12));
         }
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let shared = &shared;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..50 {
                         shared.charge(KernelCost::reduction(1 << 12));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(shared.elapsed().to_bits(), reference.elapsed().to_bits());
         assert_eq!(dev.stats().launches, 400);
     }

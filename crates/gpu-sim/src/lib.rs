@@ -19,8 +19,8 @@
 //!    exactly why batching `q` kernel rows into one launch (§3.3.1) and
 //!    running several binary SVMs concurrently (§3.3.2) win.
 //!
-//! The numeric work itself executes on the host (optionally via the
-//! [`pool::ThreadPool`]) and is bit-identical regardless of the executor, so
+//! The numeric work itself executes on the host (optionally on several
+//! threads via [`pool::for_each_chunk`]) and is bit-identical regardless of the executor, so
 //! classifier-equivalence results (Table 4) are independent of the cost
 //! model. Simulated time is reported *alongside* wall time and raw
 //! operation counters, never instead of them.
@@ -38,3 +38,13 @@ pub use cost::KernelCost;
 pub use exec::{CpuExecutor, Executor, Stream};
 pub use memory::{Device, DeviceAlloc, DeviceError};
 pub use stats::DeviceStats;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard if a panicking holder poisoned it. The
+/// values guarded in this crate (a stream clock, the memory ledger) are
+/// only touched by non-panicking arithmetic under the lock, so they stay
+/// consistent and poisoning carries no information.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -1,161 +1,46 @@
-//! Host-side parallel execution helpers.
+//! Host-side fork/join.
 //!
 //! The simulator charges *modeled* time, but the numeric work is real and
-//! can genuinely run on several host threads (CMP-SVM, LibSVM-with-OpenMP
-//! equivalents, and the batched kernel-row products). These helpers give a
-//! deterministic fork/join over index ranges built on `crossbeam` scoped
-//! threads — results are merged in chunk order, so output never depends on
-//! scheduling.
+//! can genuinely run on several host threads (wave-parallel binary
+//! problems, batched kernel-row products, scoring and probability fills).
+//! Every such fork/join goes through [`for_each_chunk`]: it hands each
+//! worker a disjoint `&mut` piece of the output, so the type system (not a
+//! runtime ledger) guarantees that no two threads write the same element,
+//! and each element's value never depends on which thread computed it.
 
-/// Split `0..len` into at most `threads` contiguous chunks and run `work`
-/// on each (in parallel when `threads > 1`), passing the chunk range.
+/// Split `out` into at most `threads` contiguous pieces whose boundaries
+/// fall on multiples of `unit` elements, and run `work(first, piece)` on
+/// each, where `first` is the index of the piece's first unit (`out` holds
+/// `out.len() / unit` units, e.g. dense rows of `unit = ncols` values, or
+/// single elements with `unit = 1`).
 ///
-/// `work` must be safe to run concurrently on disjoint ranges.
-pub fn parallel_for_chunks<F>(threads: usize, len: usize, work: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || len <= 1 {
-        work(0..len);
-        return;
-    }
-    let nchunks = threads.min(len);
-    let chunk = len.div_ceil(nchunks);
-    crossbeam::thread::scope(|s| {
-        for c in 0..nchunks {
-            let start = c * chunk;
-            let end = ((c + 1) * chunk).min(len);
-            let work = &work;
-            s.spawn(move |_| work(start..end));
-        }
-    })
-    // gmp:allow-panic — propagating a worker-thread panic; swallowing it would hide the original failure
-    .expect("worker thread panicked");
-}
-
-/// Parallel map-reduce over `0..len`: each chunk folds with `fold`, chunk
-/// results are combined in chunk order with `combine`. Deterministic for
-/// non-associative floating-point reductions as long as the thread count is
-/// fixed.
-pub fn parallel_fold<T, F, C>(threads: usize, len: usize, init: T, fold: F, combine: C) -> T
-where
-    T: Send + Clone,
-    F: Fn(T, std::ops::Range<usize>) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    let threads = threads.max(1);
-    if threads == 1 || len <= 1 {
-        return fold(init, 0..len);
-    }
-    let nchunks = threads.min(len);
-    let chunk = len.div_ceil(nchunks);
-    let mut partials: Vec<Option<T>> = vec![None; nchunks];
-    crossbeam::thread::scope(|s| {
-        for (c, slot) in partials.iter_mut().enumerate() {
-            let start = c * chunk;
-            let end = ((c + 1) * chunk).min(len);
-            let fold = &fold;
-            let seed = init.clone();
-            s.spawn(move |_| {
-                *slot = Some(fold(seed, start..end));
-            });
-        }
-    })
-    // gmp:allow-panic — propagating a worker-thread panic; swallowing it would hide the original failure
-    .expect("worker thread panicked");
-    let mut acc = init;
-    for p in partials.into_iter().flatten() {
-        acc = combine(acc, p);
-    }
-    acc
-}
-
-/// Fill `out[i] = f(i)` for all `i`, in parallel chunks.
-///
-/// # Safety-free parallel writes
-/// Each chunk receives a disjoint `&mut` sub-slice, so no synchronization
-/// is needed.
-pub fn parallel_fill<T, F>(threads: usize, out: &mut [T], f: F)
+/// With one piece `work` runs inline on the calling thread: no spawn and
+/// no allocation. Otherwise the first piece runs inline and the others on
+/// scoped threads; a worker panic propagates once every piece has joined.
+pub fn for_each_chunk<T, F>(threads: usize, unit: usize, out: &mut [T], work: F)
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
-    let threads = threads.max(1);
-    let len = out.len();
-    if threads == 1 || len <= 1 {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = f(i);
-        }
+    assert_eq!(out.len() % unit, 0, "slice is not a whole number of units");
+    let units = out.len() / unit;
+    let pieces = threads.clamp(1, units.max(1));
+    if pieces == 1 {
+        work(0, out);
         return;
     }
-    let nchunks = threads.min(len);
-    let chunk = len.div_ceil(nchunks);
-    crossbeam::thread::scope(|s| {
-        let mut rest = out;
-        let mut offset = 0usize;
-        for _ in 0..nchunks {
-            let take = chunk.min(rest.len());
-            if take == 0 {
-                break;
-            }
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let f = &f;
-            let base = offset;
-            s.spawn(move |_| {
-                for (i, o) in head.iter_mut().enumerate() {
-                    *o = f(base + i);
-                }
-            });
-            offset += take;
+    let per_piece = units.div_ceil(pieces);
+    let work = &work;
+    std::thread::scope(|s| {
+        let mut chunks = out.chunks_mut(per_piece * unit).enumerate();
+        let first = chunks.next();
+        for (c, piece) in chunks {
+            s.spawn(move || work(c * per_piece, piece));
         }
-    })
-    // gmp:allow-panic — propagating a worker-thread panic; swallowing it would hide the original failure
-    .expect("worker thread panicked");
-}
-
-/// Update `out[i]` in place via `f(i, &mut out[i])`, in parallel chunks.
-/// Unlike [`parallel_fill`], existing element state is preserved, so
-/// callers can write a subset of each element (e.g. one column of a
-/// decision-value row) without rebuilding the rest.
-pub fn parallel_update<T, F>(threads: usize, out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let threads = threads.max(1);
-    let len = out.len();
-    if threads == 1 || len <= 1 {
-        for (i, o) in out.iter_mut().enumerate() {
-            f(i, o);
+        if let Some((_, piece)) = first {
+            work(0, piece);
         }
-        return;
-    }
-    let nchunks = threads.min(len);
-    let chunk = len.div_ceil(nchunks);
-    crossbeam::thread::scope(|s| {
-        let mut rest = out;
-        let mut offset = 0usize;
-        for _ in 0..nchunks {
-            let take = chunk.min(rest.len());
-            if take == 0 {
-                break;
-            }
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let f = &f;
-            let base = offset;
-            s.spawn(move |_| {
-                for (i, o) in head.iter_mut().enumerate() {
-                    f(base + i, o);
-                }
-            });
-            offset += take;
-        }
-    })
-    // gmp:allow-panic — propagating a worker-thread panic; swallowing it would hide the original failure
-    .expect("worker thread panicked");
+    });
 }
 
 #[cfg(test)]
@@ -163,101 +48,126 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Run `for_each_chunk` over `len` units of `unit` elements each,
+    /// recording how often every element is visited; also checks that
+    /// each piece starts on a unit boundary and covers whole units.
+    fn visits(threads: usize, unit: usize, len: usize) -> Vec<usize> {
+        let mut out: Vec<(usize, usize)> = (0..len * unit).map(|e| (e, 0)).collect();
+        for_each_chunk(threads, unit, &mut out, |first, piece| {
+            assert_eq!(piece.len() % unit, 0, "piece splits a unit");
+            if let Some(&(e, _)) = piece.first() {
+                assert_eq!(e, first * unit, "piece does not start at its unit");
+            }
+            for (e, n) in piece.iter_mut() {
+                assert!(*e < len * unit);
+                *n += 1;
+            }
+        });
+        out.into_iter().map(|(_, n)| n).collect()
+    }
+
     #[test]
     fn chunks_cover_range_exactly_once() {
-        for threads in [1usize, 2, 3, 7] {
-            for len in [0usize, 1, 5, 100] {
-                let seen = (0..len).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
-                parallel_for_chunks(threads, len, |r| {
-                    for i in r {
-                        seen[i].fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-                assert!(
-                    seen.iter().all(|c| c.load(Ordering::SeqCst) == 1),
-                    "threads={threads} len={len}"
-                );
+        for unit in [1usize, 3] {
+            for threads in [1usize, 2, 3, 7] {
+                for len in [0usize, 1, 5, 100] {
+                    assert!(
+                        visits(threads, unit, len).iter().all(|&n| n == 1),
+                        "unit={unit} threads={threads} len={len}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn fold_matches_serial_sum() {
-        let data: Vec<f64> = (0..1000).map(|i| i as f64 * 0.5).collect();
-        let serial: f64 = data.iter().sum();
-        for threads in [1usize, 2, 4] {
-            let got = parallel_fold(
-                threads,
-                data.len(),
-                0.0f64,
-                |acc, r| acc + data[r].iter().sum::<f64>(),
-                |a, b| a + b,
-            );
-            assert!((got - serial).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fold_is_deterministic_per_thread_count() {
-        let data: Vec<f64> = (0..997).map(|i| (i as f64).sin()).collect();
-        let once = parallel_fold(
-            3,
-            data.len(),
-            0.0,
-            |a, r| a + data[r].iter().sum::<f64>(),
-            |a, b| a + b,
-        );
-        for _ in 0..5 {
-            let again = parallel_fold(
-                3,
-                data.len(),
-                0.0,
-                |a, r| a + data[r].iter().sum::<f64>(),
-                |a, b| a + b,
-            );
-            assert_eq!(once.to_bits(), again.to_bits());
-        }
-    }
-
-    #[test]
-    fn fill_writes_every_slot() {
-        for threads in [1usize, 2, 5] {
-            let mut out = vec![0usize; 37];
-            parallel_fill(threads, &mut out, |i| i * 2);
-            assert!(out.iter().enumerate().all(|(i, &v)| v == i * 2));
+    fn more_threads_than_items() {
+        for unit in [1usize, 3] {
+            for threads in [0usize, 1, 2, 3, 7] {
+                for len in [0usize, 1, 5, 100] {
+                    let pieces = AtomicUsize::new(0);
+                    let mut out = vec![0u8; len * unit];
+                    for_each_chunk(threads, unit, &mut out, |_, _| {
+                        pieces.fetch_add(1, Ordering::SeqCst);
+                    });
+                    let n = pieces.into_inner();
+                    assert!(n >= 1 && n <= threads.max(1).min(len.max(1)));
+                }
+            }
         }
     }
 
     #[test]
     fn fill_empty_is_noop() {
         let mut out: Vec<u8> = vec![];
-        parallel_fill(4, &mut out, |_| 1);
+        for_each_chunk(4, 3, &mut out, |first, piece| {
+            assert_eq!((first, piece.len()), (0, 0));
+        });
         assert!(out.is_empty());
     }
 
     #[test]
-    fn more_threads_than_items() {
-        let mut out = vec![0; 2];
-        parallel_fill(16, &mut out, |i| i + 1);
-        assert_eq!(out, vec![1, 2]);
+    #[should_panic(expected = "whole number of units")]
+    fn ragged_slice_is_refused() {
+        for_each_chunk(2, 3, &mut [0u8; 4], |_, _| {});
+    }
+
+    #[test]
+    fn fill_writes_every_slot() {
+        for unit in [1usize, 3] {
+            for threads in [1usize, 2, 3, 7] {
+                for len in [0usize, 1, 5, 100] {
+                    let mut out = vec![0usize; len * unit];
+                    for_each_chunk(threads, unit, &mut out, |first, piece| {
+                        for (k, o) in piece.iter_mut().enumerate() {
+                            *o = (first * unit + k) * 2 + 1;
+                        }
+                    });
+                    assert!(
+                        out.iter().enumerate().all(|(i, &v)| v == i * 2 + 1),
+                        "unit={unit} threads={threads} len={len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn update_preserves_untouched_state() {
-        for threads in [1usize, 3, 8] {
-            let mut out: Vec<(usize, usize)> = (0..23).map(|i| (i, 7)).collect();
-            parallel_update(threads, &mut out, |i, o| o.0 = i * 3);
-            assert!(
-                out.iter().enumerate().all(|(i, &v)| v == (i * 3, 7)),
-                "threads={threads}"
-            );
+        for unit in [1usize, 3] {
+            for threads in [1usize, 2, 3, 7] {
+                for len in [0usize, 1, 5, 100] {
+                    let mut out: Vec<(usize, usize)> = (0..len * unit).map(|i| (i, 7)).collect();
+                    for_each_chunk(threads, unit, &mut out, |first, piece| {
+                        for (k, o) in piece.iter_mut().enumerate() {
+                            o.0 = (first * unit + k) * 3;
+                        }
+                    });
+                    assert!(
+                        out.iter().enumerate().all(|(i, &v)| v == (i * 3, 7)),
+                        "unit={unit} threads={threads} len={len}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn update_empty_is_noop() {
         let mut out: Vec<u8> = vec![];
-        parallel_update(4, &mut out, |_, _| unreachable!());
+        for_each_chunk(4, 1, &mut out, |first, piece| {
+            assert_eq!(first, 0);
+            assert!(piece.is_empty());
+        });
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn worker_panic_propagates() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut out = vec![0u8; 8];
+            for_each_chunk(4, 1, &mut out, |first, _| assert!(first < 6, "boom"));
+        });
+        assert!(caught.is_err());
     }
 }

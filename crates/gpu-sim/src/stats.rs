@@ -1,6 +1,5 @@
 //! Cumulative device statistics.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free accumulator for device activity. Times are stored as
@@ -16,7 +15,7 @@ pub struct StatsCell {
 }
 
 /// A point-in-time snapshot of device activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceStats {
     /// Number of kernel launches.
     pub launches: u64,
@@ -134,18 +133,17 @@ mod tests {
     #[test]
     fn concurrent_records_lose_nothing() {
         let c = StatsCell::default();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let c = &c;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..250 {
                         c.record_launch(3, 2, 1.0);
                         c.record_transfer(5, 1.0);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let snap = c.snapshot();
         assert_eq!(snap.launches, 1000);
         assert_eq!(snap.flops, 3000);

@@ -8,11 +8,10 @@
 //! is out of the scope of this paper").
 
 use gmp_gpusim::{Device, DeviceAlloc, DeviceError};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Row replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
     /// Evict whole insertion batches, oldest first (the paper's policy).
     FifoBatch,
@@ -21,7 +20,7 @@ pub enum ReplacementPolicy {
 }
 
 /// Hit/miss/eviction counters for a buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// `get` calls that found the row resident.
     pub hits: u64,

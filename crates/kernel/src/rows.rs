@@ -4,11 +4,10 @@ use crate::buffer::{KernelBuffer, ReplacementPolicy};
 use crate::oracle::KernelOracle;
 use gmp_gpusim::{Device, DeviceError, Executor};
 use gmp_sparse::DenseMatrix;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Telemetry of a row provider.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RowProviderStats {
     /// Individual kernel values computed.
     pub kernel_evals: u64,

@@ -42,7 +42,6 @@ use crate::rows::{KernelRows, RowProviderStats};
 use gmp_gpusim::{Device, DeviceAlloc, DeviceError, Executor};
 use gmp_sparse::DenseMatrix;
 use gmp_sync::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,7 +51,7 @@ const N_SHARDS: usize = 16;
 
 /// Class-contiguous layout of a grouped dataset: class `c` occupies global
 /// row indices `offsets[c]..offsets[c+1]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassLayout {
     offsets: Vec<usize>,
 }
@@ -98,7 +97,7 @@ impl ClassLayout {
 }
 
 /// Statistics of the shared store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedStoreStats {
     /// Segments computed (each is one batched-launch participant).
     pub segments_computed: u64,
@@ -696,17 +695,16 @@ mod tests {
         // N threads all requesting the same rows: single-flight must keep
         // the oracle's eval count identical to one sequential pass.
         let st = store(1 << 20);
-        crossbeam::thread::scope(|sc| {
+        std::thread::scope(|sc| {
             for _ in 0..4 {
                 let st = st.clone();
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     let e = exec();
                     let mut out = DenseMatrix::zeros(2, 4);
                     st.fetch_pair_rows(&e, &[0, 1], 0, 1, &mut out);
                 });
             }
-        })
-        .expect("fetch thread panicked");
+        });
         // 2 rows x 2 segments each computed exactly once: 2*2 + 2*2 evals.
         assert_eq!(st.oracle().eval_count(), 8);
         assert_eq!(st.stats().segments_computed, 4);

@@ -1,11 +1,9 @@
 //! Pairwise coupling: combine binary probabilities into a multi-class
 //! distribution (Problem 14, solved per Equation 15 / Wu et al. 2004).
 
-use serde::{Deserialize, Serialize};
-
 /// The `k x k` matrix of pairwise probability estimates:
 /// `r[s][t] = P(class s | class s or t, x)` with `r[t][s] = 1 - r[s][t]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairwiseProbs {
     k: usize,
     r: Vec<f64>, // row-major k x k, diagonal unused

@@ -5,8 +5,6 @@
 //! metrics quantify that: negative log-likelihood, Brier score, and
 //! expected calibration error over confidence bins.
 
-use serde::{Deserialize, Serialize};
-
 /// Floor applied inside logs to keep the loss finite.
 const P_FLOOR: f64 = 1e-15;
 
@@ -48,7 +46,7 @@ pub fn brier_score(probabilities: &[Vec<f64>], labels: &[u32]) -> f64 {
 }
 
 /// One bin of a reliability diagram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationBin {
     /// Bin lower edge (confidence).
     pub lo: f64,
@@ -64,7 +62,7 @@ pub struct CalibrationBin {
 
 /// Reliability diagram plus expected calibration error (ECE) over equal
 /// width confidence bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// The bins in ascending confidence order.
     pub bins: Vec<CalibrationBin>,

@@ -5,10 +5,8 @@
 //! outputs for support vector machines" (2007) — the algorithm LibSVM
 //! implements and the paper's Phase (ii) parallelizes.
 
-use serde::{Deserialize, Serialize};
-
 /// Fitted sigmoid parameters: `P(y=1|v) = 1/(1+exp(A·v+B))`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SigmoidParams {
     /// Slope `A` (negative for a well-oriented classifier).
     pub a: f64,

@@ -51,7 +51,10 @@ pub fn parse_line(line: &str) -> Result<RequestLine, ServeError> {
     let mut features = Vec::new();
     for (ti, tok) in line.split_whitespace().enumerate() {
         let Some((idx_s, val_s)) = tok.split_once(':') else {
-            if ti == 0 && tok.parse::<f64>().is_ok() {
+            if let (0, Ok(label)) = (ti, tok.parse::<f64>()) {
+                if !label.is_finite() {
+                    return Err(ServeError::BadInput(format!("non-finite label '{tok}'")));
+                }
                 continue; // leading label — accepted and ignored
             }
             return Err(ServeError::BadInput(format!(
@@ -74,6 +77,11 @@ pub fn parse_line(line: &str) -> Result<RequestLine, ServeError> {
         let val: f64 = val_s
             .parse()
             .map_err(|_| ServeError::BadInput(format!("bad feature value '{val_s}'")))?;
+        if !val.is_finite() {
+            return Err(ServeError::BadInput(format!(
+                "non-finite feature value '{val_s}'"
+            )));
+        }
         features.push(((idx - 1) as u32, val));
     }
     Ok(RequestLine::Predict(features))
@@ -94,8 +102,8 @@ pub fn format_error(e: &ServeError) -> String {
     format!("ERR {e}")
 }
 
-/// Format the serving counters as one JSON line (hand-rolled — the
-/// vendored serde has no serializer).
+/// Format the serving counters as one JSON line (hand-rolled; the
+/// workspace has no serialization dependency).
 pub fn format_stats(r: &ServeReport) -> String {
     format!(
         "{{\"accepted\": {}, \"served\": {}, \"rejected_overload\": {}, \
@@ -164,6 +172,24 @@ mod tests {
         assert!(parse_line("5000000000:1.0").is_err());
         // A lone non-numeric token is not a label.
         assert!(parse_line("hello").is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_numbers() {
+        for line in [
+            "nan 1:1",
+            "inf 1:1",
+            "1:nan",
+            "1 2:0.5 3:inf",
+            "1:-inf",
+            "1:NaN",
+        ] {
+            let err = parse_line(line).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::BadInput(m) if m.contains("non-finite")),
+                "{line}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -61,12 +61,12 @@ fn microbatched_results_bitwise_match_offline_predict() {
     // rows land in different batches at different positions on every run —
     // and the bits must not care.
     let n = data.n();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for client in 0..30usize {
             let handle = server.handle();
             let x = &data.x;
             let offline = &offline;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for k in 0..5usize {
                     let i = (client * 5 + k) % n;
                     let p = handle.submit(row_features(x, i)).unwrap();
@@ -78,8 +78,7 @@ fn microbatched_results_bitwise_match_offline_predict() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let report = server.shutdown();
     assert_eq!(report.served, 150);
@@ -102,14 +101,13 @@ fn backlog_actually_coalesces_into_batches() {
         },
     )
     .expect("start server");
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for i in 0..24usize {
             let handle = server.handle();
             let x = &data.x;
-            s.spawn(move |_| handle.submit(row_features(x, i)).unwrap());
+            s.spawn(move || handle.submit(row_features(x, i)).unwrap());
         }
-    })
-    .unwrap();
+    });
     let report = server.shutdown();
     assert_eq!(report.served, 24);
     assert!(
@@ -137,17 +135,16 @@ fn full_queue_rejects_with_overloaded_and_nothing_is_lost() {
         },
     )
     .expect("start server");
-    let outcomes: Vec<Result<_, ServeError>> = crossbeam::thread::scope(|s| {
+    let outcomes: Vec<Result<_, ServeError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..16usize)
             .map(|i| {
                 let handle = server.handle();
                 let x = &data.x;
-                s.spawn(move |_| handle.submit(row_features(x, i)))
+                s.spawn(move || handle.submit(row_features(x, i)))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
 
     let ok = outcomes.iter().filter(|r| r.is_ok()).count();
     let overloaded = outcomes
@@ -181,21 +178,20 @@ fn expired_deadline_fails_explicitly() {
         },
     )
     .expect("start server");
-    let (slow, fast) = crossbeam::thread::scope(|s| {
+    let (slow, fast) = std::thread::scope(|s| {
         let handle = server.handle();
         let x = &data.x;
         // First request occupies the worker for ~60 ms.
-        let a = s.spawn(move |_| handle.submit(row_features(x, 0)));
+        let a = s.spawn(move || handle.submit(row_features(x, 0)));
         std::thread::sleep(Duration::from_millis(10));
         // Second request can only be scored after ~50 more ms — far past
         // its 5 ms deadline, so it must expire in the queue.
         let handle = server.handle();
-        let b = s.spawn(move |_| {
+        let b = s.spawn(move || {
             handle.submit_with_deadline(row_features(x, 1), Some(Duration::from_millis(5)))
         });
         (a.join().unwrap(), b.join().unwrap())
-    })
-    .unwrap();
+    });
 
     assert!(slow.is_ok(), "undeadlined request must be served: {slow:?}");
     assert_eq!(fast.unwrap_err(), ServeError::DeadlineExceeded);
@@ -221,12 +217,12 @@ fn graceful_shutdown_drains_admitted_requests() {
     )
     .expect("start server");
     let handle = server.handle();
-    let results = crossbeam::thread::scope(|s| {
+    let results = std::thread::scope(|s| {
         let clients: Vec<_> = (0..8usize)
             .map(|i| {
                 let handle = handle.clone();
                 let x = &data.x;
-                s.spawn(move |_| handle.submit(row_features(x, i)))
+                s.spawn(move || handle.submit(row_features(x, i)))
             })
             .collect();
         // Let every client reach the queue, then shut down while most of
@@ -235,8 +231,7 @@ fn graceful_shutdown_drains_admitted_requests() {
         let report = server.shutdown();
         let results: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
         (report, results)
-    })
-    .unwrap();
+    });
     let (report, results) = results;
 
     // Everything admitted before the shutdown was *served*, not dropped.

@@ -101,6 +101,11 @@ fn serve_binary_round_trips_over_tcp() {
     // Malformed input gets an ERR, not a dropped connection.
     let reply = ask("not a row");
     assert!(reply.starts_with("ERR "), "{reply}");
+    // So does a non-finite number, label or value alike.
+    for bad in ["nan 1:0.5", "1:inf"] {
+        let reply = ask(bad);
+        assert!(reply.starts_with("ERR "), "{bad}: {reply}");
+    }
 
     // STATS returns one JSON line reflecting the served requests.
     let stats = ask("STATS");

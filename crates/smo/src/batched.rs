@@ -22,11 +22,10 @@ use gmp_gpusim::cost::KernelCost;
 use gmp_gpusim::reduce::{argmax_masked, argmin_masked};
 use gmp_gpusim::Executor;
 use gmp_kernel::KernelRows;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Parameters of the batched solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchedParams {
     /// Shared SMO parameters (C, ε, iteration cap).
     pub base: SmoParams,

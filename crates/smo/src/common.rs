@@ -2,14 +2,13 @@
 //! predicates of Equation (4)/(5) of the paper.
 
 use gmp_kernel::RowProviderStats;
-use serde::{Deserialize, Serialize};
 
 /// Minimum curvature substituted when `eta <= 0` (degenerate pairs), as in
 /// LibSVM's `TAU`.
 pub const TAU: f64 = 1e-12;
 
 /// Parameters shared by all SMO variants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmoParams {
     /// Penalty parameter `C` of Problem (1).
     pub c: f64,
@@ -62,7 +61,7 @@ pub fn in_lower(y: f64, alpha: f64, c: f64) -> bool {
 /// Wall/simulated time attribution over the three component groups the
 /// paper's Fig. 11 reports: kernel-value computation, solving the
 /// subproblem, and everything else (selection, indicator updates).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
     /// Kernel value computation (batched row launches).
     pub kernel_s: f64,
@@ -102,7 +101,7 @@ impl PhaseTimes {
 }
 
 /// Counters and timings of one solver run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverTelemetry {
     /// Row-provider counters (kernel evals, rows computed, hits/misses).
     pub rows: RowProviderStats,
@@ -113,7 +112,7 @@ pub struct SolverTelemetry {
 }
 
 /// Output of a binary SVM training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverResult {
     /// Instance weights α (length `n`).
     pub alpha: Vec<f64>,

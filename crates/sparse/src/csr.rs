@@ -1,6 +1,5 @@
 //! Compressed sparse row matrices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced when constructing or validating a [`CsrMatrix`].
@@ -42,7 +41,7 @@ impl std::error::Error for CsrError {}
 ///   `indptr[nrows] == indices.len() == values.len()`;
 /// * every column index is `< ncols`;
 /// * column indices are strictly increasing within each row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     ncols: usize,
     indptr: Vec<usize>,

@@ -1,10 +1,8 @@
 //! Small dense row-major matrix used for kernel-row blocks and the dense
 //! baseline (GPUSVM-like) data representation.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major `f64` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     nrows: usize,
     ncols: usize,
@@ -71,10 +69,8 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// The full backing slice (row-major), mutable. One borrow of the
-    /// whole buffer — the provenance root for row-splitting (deriving raw
-    /// row pointers from repeated `row_mut` calls instead would invalidate
-    /// each previous pointer under Stacked Borrows).
+    /// The full backing slice (row-major), mutable: split it on row
+    /// boundaries (`ncols` values) to fill rows in parallel.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }

@@ -1,6 +1,6 @@
 //! Bounded MPMC channel built on the shim's [`Mutex`]/[`Condvar`], so loom
-//! can model it. API mirrors the `crossbeam::channel` subset the workspace
-//! uses, plus [`Sender::close`]/[`Receiver::close`]: an explicit, idempotent
+//! can model it. API mirrors the bounded `std::sync::mpsc` channel, with
+//! cloneable receivers, plus [`Sender::close`]/[`Receiver::close`]: an explicit, idempotent
 //! end-of-stream that fails further sends but lets receivers **drain** what
 //! is already queued — the primitive behind the serve batcher's
 //! "stop admitting, serve everything admitted" shutdown contract.

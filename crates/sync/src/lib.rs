@@ -5,7 +5,7 @@
 //! backends, switched by the `loom` cargo feature:
 //!
 //! - **default**: thin std-backed primitives (poison-recovering,
-//!   parking_lot-style `lock() -> guard` API) with zero abstraction cost;
+//!   `lock() -> guard` API with no `Result`) with zero abstraction cost;
 //! - **`--features loom`**: the vendored loom stand-in, whose scheduler
 //!   serializes threads and exhaustively explores interleavings inside
 //!   `loom::model(..)` runs (and degrades to std behavior outside them).
@@ -28,8 +28,7 @@ mod imp {
     use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
     use std::time::Duration;
 
-    /// Mutual exclusion with a parking_lot-style API: `lock()` returns the
-    /// guard directly. A panic while the lock is held does not poison it —
+    /// Mutual exclusion whose `lock()` returns the guard directly. A panic while the lock is held does not poison it —
     /// the next locker sees the data as the panicking thread left it, which
     /// is what every use in this workspace wants (counters, queues with
     /// their own ledgers).
@@ -84,7 +83,7 @@ mod imp {
         }
     }
 
-    /// Condition variable taking guards by `&mut` (parking_lot-style).
+    /// Condition variable taking guards by `&mut`.
     pub struct Condvar {
         inner: StdCondvar,
     }
