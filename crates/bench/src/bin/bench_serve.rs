@@ -2,7 +2,7 @@
 //!
 //! Trains one multi-class model, then drives the `gmp-serve` engine
 //! through closed-loop client threads twice with the only difference being
-//! the batcher's `max_batch` (1 vs 16). Everything else — engine, backend,
+//! the server's `max_batch` (1 vs 16). Everything else — engine, backend,
 //! worker count, client count, request mix — is held fixed.
 //!
 //! Two throughputs are reported, following the repo-wide convention
@@ -25,10 +25,10 @@
 use gmp_datasets::BlobSpec;
 use gmp_serve::{PredictorEngine, ServeConfig, Server};
 use gmp_svm::{Backend, MpSvmModel, MpSvmTrainer, ServeReport, SvmParams};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // More clients than `max_batch`, so the batched arm coalesces full batches
-// from the backlog instead of stalling on the flush timer.
+// from the backlog.
 const CLIENTS: usize = 32;
 const REQUESTS_PER_CLIENT: usize = 40;
 
@@ -43,7 +43,6 @@ fn run_arm(
     model: &MpSvmModel,
     rows: &[Vec<(u32, f64)>],
     max_batch: usize,
-    max_delay: Duration,
 ) -> ArmResult {
     let engine = PredictorEngine::new(model.clone(), Backend::gmp_default(), None)
         .expect("model must serve");
@@ -51,7 +50,6 @@ fn run_arm(
         engine,
         ServeConfig {
             max_batch,
-            max_delay,
             workers: 1,
             ..ServeConfig::default()
         },
@@ -126,16 +124,10 @@ fn main() {
         .collect();
 
     // Warm-up arm (allocator/page-cache warmup); discarded.
-    let _ = run_arm("warmup", &model, &rows, 8, Duration::from_micros(200));
+    let _ = run_arm("warmup", &model, &rows, 8);
 
-    let single = run_arm("batch1", &model, &rows, 1, Duration::ZERO);
-    let batched = run_arm(
-        "microbatch16",
-        &model,
-        &rows,
-        16,
-        Duration::from_micros(200),
-    );
+    let single = run_arm("batch1", &model, &rows, 1);
+    let batched = run_arm("microbatch16", &model, &rows, 16);
     let sim_speedup = batched.report.sim_throughput_rps() / single.report.sim_throughput_rps();
     let wall_speedup = batched.throughput_rps / single.throughput_rps;
 

@@ -113,11 +113,11 @@ impl PredictReport {
     }
 }
 
-/// Log-bucketed latency histogram: microsecond durations in power-of-two
-/// buckets, so online recording is O(1) and quantile queries need no
-/// stored samples. Bucket `i` holds durations in `[2^i, 2^(i+1)) µs`
-/// (bucket 0 also absorbs sub-microsecond values); quantiles report the
-/// bucket's upper bound, i.e. they are conservative to within 2x.
+/// Log-linear latency histogram over microsecond durations: every
+/// power-of-two octave `[2^e, 2^(e+1))` is split into 16 equal-width
+/// sub-buckets (durations below 16 µs get one bucket each), so online
+/// recording is O(1), quantile queries need no stored samples, and a
+/// reported quantile is within 1/32 (≈3%) of the exact rank value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     /// Per-bucket counts.
@@ -130,8 +130,33 @@ pub struct LatencyHistogram {
     max_us: u64,
 }
 
-/// `2^40` µs ≈ 13 days — anything longer saturates into the last bucket.
-const LATENCY_BUCKETS: usize = 41;
+/// log2 of the sub-buckets per octave.
+const SUB_BITS: u32 = 4;
+/// Sub-buckets per octave (also the count of exact buckets below it).
+const SUB: usize = 1 << SUB_BITS;
+/// Exact buckets for `0..SUB`, then `SUB` per octave up to `2^64`.
+const LATENCY_BUCKETS: usize = SUB * (64 - SUB_BITS as usize + 1);
+
+/// Bucket index of a duration.
+fn bucket_of(us: u64) -> usize {
+    if us < SUB as u64 {
+        return us as usize;
+    }
+    let octave = 63 - us.leading_zeros(); // ≥ SUB_BITS
+    let shift = octave - SUB_BITS;
+    let sub = (us >> shift) as usize - SUB;
+    SUB * (octave - SUB_BITS + 1) as usize + sub
+}
+
+/// Smallest duration and width of bucket `i`.
+fn bucket_range(i: usize) -> (u64, u64) {
+    if i < SUB {
+        return (i as u64, 1);
+    }
+    let shift = (i / SUB - 1) as u32;
+    let lower = ((SUB + i % SUB) as u64) << shift;
+    (lower, 1u64 << shift)
+}
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
@@ -152,8 +177,7 @@ impl LatencyHistogram {
 
     /// Record one duration (in microseconds).
     pub fn record_us(&mut self, us: u64) {
-        let bucket = (64 - us.max(1).leading_zeros() as usize - 1).min(LATENCY_BUCKETS - 1);
-        self.buckets[bucket] += 1;
+        self.buckets[bucket_of(us)] += 1;
         self.count += 1;
         self.sum_us = self.sum_us.saturating_add(us);
         self.max_us = self.max_us.max(us);
@@ -182,8 +206,9 @@ impl LatencyHistogram {
         self.max_us
     }
 
-    /// Upper bound of the bucket containing quantile `q` (0..=1), in
-    /// microseconds. Returns 0 when empty.
+    /// Quantile `q` (0..=1) in microseconds: the midpoint of the bucket
+    /// holding rank `⌈q·count⌉`, clamped to the observed maximum (so p100
+    /// is exact). Returns 0 when empty.
     pub fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -193,9 +218,8 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                // Bucket i covers [2^i, 2^(i+1)); report the upper bound,
-                // clamped to the observed maximum so p100 is exact.
-                return (1u64 << (i + 1)).saturating_sub(1).min(self.max_us);
+                let (lower, width) = bucket_range(i);
+                return (lower + width / 2).min(self.max_us);
             }
         }
         self.max_us
@@ -337,8 +361,7 @@ mod tests {
         let p50 = h.quantile_us(0.50);
         let p95 = h.quantile_us(0.95);
         let p99 = h.quantile_us(0.99);
-        // p50 lands in the 100 µs bucket [64, 128); p95/p99 in the 50 ms
-        // bucket. Log buckets are conservative within 2x.
+        // p50 lands in the 100 µs bucket; p95/p99 in the 50 ms bucket.
         assert!((64..=255).contains(&p50), "p50 {p50}");
         assert!(p95 >= 32_768, "p95 {p95}");
         assert!((32_768..=50_000).contains(&p99), "p99 {p99}");
@@ -357,6 +380,42 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.max_us(), u64::MAX);
         assert!(a.quantile_us(0.01) <= 3);
+    }
+
+    #[test]
+    fn latency_histogram_quantiles_are_distinct_and_within_four_percent() {
+        let mut h = LatencyHistogram::new();
+        for us in 1..=10_000 {
+            h.record_us(us);
+        }
+        let (p50, p95, p99) = (
+            h.quantile_us(0.50),
+            h.quantile_us(0.95),
+            h.quantile_us(0.99),
+        );
+        assert!(p50 < p95 && p95 < p99, "p50 {p50} p95 {p95} p99 {p99}");
+        // Value at rank ⌈q·n⌉ of 1..=n is the rank itself.
+        for (q, got) in [(0.50, p50), (0.95, p95), (0.99, p99)] {
+            let exact = (q * 10_000.0_f64).ceil();
+            let err = (got as f64 - exact).abs() / exact;
+            assert!(err <= 0.04, "q{q}: {got} vs exact {exact} ({err:.4})");
+        }
+    }
+
+    #[test]
+    fn latency_buckets_tile_the_range() {
+        // Consecutive buckets are contiguous, each value maps into its own
+        // bucket's range, and the last bucket ends at u64::MAX.
+        let mut next = 0u64;
+        for i in 0..LATENCY_BUCKETS {
+            let (lower, width) = bucket_range(i);
+            assert_eq!(lower, next, "bucket {i}");
+            let upper = lower + (width - 1);
+            assert_eq!(bucket_of(lower), i);
+            assert_eq!(bucket_of(upper), i);
+            next = upper.wrapping_add(1);
+        }
+        assert_eq!(next, 0, "last bucket must end at u64::MAX");
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Dynamic micro-batching with bounded queues and explicit backpressure.
+//! Dynamic micro-batching with a bounded admission queue and explicit
+//! backpressure.
 //!
-//! Topology (all channels bounded):
+//! Topology (the request queue is bounded):
 //!
 //! ```text
-//! submit() --try_send--> [request queue] --batcher--> [job queue] --workers--> respond
-//!    |                        cap = queue_cap             cap = workers
+//! submit() --try_send--> [request queue] --recv + try_recv--> workers --> respond
+//!    |                        cap = queue_cap    (up to max_batch)
 //!    +-- Overloaded when full (admission control)
 //! ```
 //!
-//! The batcher thread pulls the backlog greedily (no waiting) up to
-//! `max_batch`, then waits at most `max_delay` for stragglers before
-//! flushing a partial batch — so a loaded server runs at full batches and
-//! an idle one adds at most `max_delay` latency. The job queue's capacity
-//! equals the worker count: when every worker is busy the batcher blocks,
-//! the request queue fills behind it, and admission starts rejecting —
-//! backpressure propagates to the edge instead of growing an unbounded
-//! buffer.
+//! Each worker forms its own batch the moment it is free: it blocks for
+//! one request, then drains whatever else is already queued (no waiting)
+//! up to `max_batch`, and scores. The queue is work-conserving: an idle
+//! server answers a lone request at once, and a loaded one coalesces its
+//! backlog into full batches. When every worker is busy the request queue
+//! fills and admission starts rejecting — backpressure reaches the edge
+//! instead of growing an unbounded buffer.
 //!
 //! Every admitted request gets exactly one terminal outcome (served,
 //! expired, failed) — there is no silent-drop path, and
@@ -23,21 +23,22 @@
 //!
 //! Shutdown is close-based: [`Server::shutdown`] stops admission and then
 //! *closes* the request channel, so concurrent submits fail fast while the
-//! batcher keeps draining — its final `recv` errors only once the queue is
-//! empty. Admission (`try_send`) and drain (`recv`) agree under one channel
-//! lock, making "accepted" and "will get a verdict" the same event.
+//! workers keep draining — their final `recv` errors only once the queue
+//! is empty. Admission (`try_send`) and drain (`recv`) agree under one
+//! channel lock, making "accepted" and "will get a verdict" the same
+//! event.
 //!
 //! Every primitive here comes from [`gmp_sync`], so the whole lifecycle is
 //! model-checked by loom (`tests/loom_batcher.rs`): the ledger balances and
 //! no admitted request is stranded under any explored interleaving of
-//! submitters, batcher, workers, and shutdown.
+//! submitters, workers, and shutdown.
 
 use crate::engine::PredictorEngine;
 use crate::metrics::ServeMetrics;
 use gmp_sparse::CsrBuilder;
 use gmp_svm::ServeReport;
 use gmp_sync::atomic::{AtomicBool, Ordering};
-use gmp_sync::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use gmp_sync::channel::{self, Receiver, Sender, TrySendError};
 use gmp_sync::thread::{spawn_named, JoinHandle};
 use std::fmt;
 use std::sync::Arc;
@@ -46,12 +47,9 @@ use std::time::{Duration, Instant};
 /// Knobs of the micro-batching loop.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Largest batch handed to a worker (≥ 1). 1 disables coalescing —
-    /// every request is scored alone (the A/B baseline).
+    /// Largest batch a worker takes from the queue (≥ 1). 1 disables
+    /// coalescing — every request is scored alone (the A/B baseline).
     pub max_batch: usize,
-    /// How long a non-full batch waits for stragglers before flushing.
-    /// Zero flushes as soon as the backlog is drained.
-    pub max_delay: Duration,
     /// Request-queue capacity; a full queue rejects with
     /// [`ServeError::Overloaded`].
     pub queue_cap: usize,
@@ -70,7 +68,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 32,
-            max_delay: Duration::from_millis(2),
             queue_cap: 1024,
             workers: 2,
             default_deadline: None,
@@ -240,14 +237,13 @@ fn validate_features(features: &[(u32, f64)], dim: usize) -> Result<(), ServeErr
     Ok(())
 }
 
-/// A running serving instance: batcher thread + worker pool around one
-/// [`PredictorEngine`].
+/// A running serving instance: a worker pool around one
+/// [`PredictorEngine`], fed by one bounded request queue.
 pub struct Server {
     handle: ServeHandle,
     req_rx: Receiver<Request>,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<ServeMetrics>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -265,28 +261,17 @@ impl Server {
         let workers_n = cfg.workers.max(1);
 
         let (req_tx, req_rx) = channel::bounded::<Request>(cfg.queue_cap.max(1));
-        let (job_tx, job_rx) = channel::bounded::<Vec<Request>>(workers_n);
-
-        let batcher = {
-            let rx = req_rx.clone();
-            let flag = Arc::clone(&shutdown);
-            let max_delay = cfg.max_delay;
-            spawn_named("gmp-serve-batcher", move || {
-                batcher_loop(&rx, &job_tx, &flag, max_batch, max_delay)
-            })?
-        };
         let workers = (0..workers_n)
             .map(|i| {
-                let rx = job_rx.clone();
+                let rx = req_rx.clone();
                 let engine = Arc::clone(&engine);
                 let metrics = Arc::clone(&metrics);
                 let score_delay = cfg.score_delay;
                 spawn_named(&format!("gmp-serve-worker-{i}"), move || {
-                    worker_loop(&rx, &engine, &metrics, score_delay)
+                    worker_loop(&rx, &engine, &metrics, max_batch, score_delay)
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        drop(job_rx); // workers hold the only receiver clones
 
         Ok(Server {
             handle: ServeHandle {
@@ -299,7 +284,6 @@ impl Server {
             req_rx,
             shutdown,
             metrics,
-            batcher: Some(batcher),
             workers,
         })
     }
@@ -320,21 +304,18 @@ impl Server {
     /// Closing the request channel is what makes the drain promise hold:
     /// concurrent `try_send`s fail with `Disconnected` (reported as
     /// [`ServeError::ShuttingDown`], never counted as accepted), while
-    /// every request admitted before the close stays queued and the
-    /// batcher's final `recv` cannot error until it has drained them all.
+    /// every request admitted before the close stays queued and no
+    /// worker's final `recv` can error until they have drained them all.
     pub fn shutdown(mut self) -> ServeReport {
         self.shutdown.store(true, Ordering::Release);
         self.req_rx.close();
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
         gmp_sync::audit!({
             assert!(
                 self.req_rx.is_empty(),
-                "batcher exited with admitted requests still queued"
+                "workers exited with admitted requests still queued"
             );
         });
         self.metrics.snapshot()
@@ -343,67 +324,33 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Stop admitting and close the queue so both thread pools wind
-        // down promptly even when `shutdown` was never called.
+        // Stop admitting and close the queue so the workers wind down
+        // promptly even when `shutdown` was never called.
         self.shutdown.store(true, Ordering::Release);
         self.req_rx.close();
     }
 }
 
-fn batcher_loop(
-    rx: &Receiver<Request>,
-    job_tx: &Sender<Vec<Request>>,
-    shutdown: &AtomicBool,
-    max_batch: usize,
-    max_delay: Duration,
-) {
-    loop {
-        // Block until work arrives. `recv` errors only once the channel is
-        // closed (or every handle is gone) **and** the queue is drained, so
-        // returning here cannot strand an admitted request.
-        let Ok(first) = rx.recv() else { return };
-        let mut batch = Vec::with_capacity(max_batch);
-        batch.push(first);
-        while batch.len() < max_batch {
-            // Drain the backlog greedily — coalescing queued work never
-            // waits.
-            match rx.try_recv() {
-                Ok(r) => {
-                    batch.push(r);
-                    continue;
-                }
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => {}
-            }
-            // Idle queue: wait out the flush window for stragglers (but
-            // not during shutdown — drain as fast as possible).
-            if shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            let flush_at = batch[0].enqueued + max_delay;
-            let now = Instant::now();
-            if now >= flush_at {
-                break;
-            }
-            match rx.recv_timeout(flush_at - now) {
-                Ok(r) => batch.push(r),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        if job_tx.send(batch).is_err() {
-            return; // all workers gone (can only happen on panic)
-        }
-    }
-}
-
 fn worker_loop(
-    rx: &Receiver<Vec<Request>>,
+    rx: &Receiver<Request>,
     engine: &PredictorEngine,
     metrics: &ServeMetrics,
+    max_batch: usize,
     score_delay: Duration,
 ) {
-    while let Ok(batch) = rx.recv() {
+    // Block until work arrives. `recv` errors only once the channel is
+    // closed (or every handle is gone) **and** the queue is drained, so
+    // returning here cannot strand an admitted request.
+    while let Ok(first) = rx.recv() {
+        let mut batch = Vec::with_capacity(max_batch);
+        batch.push(first);
+        // Coalesce the backlog that is already queued; never wait for more.
+        while batch.len() < max_batch {
+            match rx.try_recv() {
+                Ok(r) => batch.push(r),
+                Err(_) => break,
+            }
+        }
         if !score_delay.is_zero() {
             std::thread::sleep(score_delay);
         }

@@ -9,8 +9,8 @@
 //!   --compute-backend C  numeric compute backend: scalar | blocked
 //!                      (default: GMP_BACKEND env var, else scalar)
 //!   --threads N        host threads per scoring call (default auto)
-//!   --max-batch N      micro-batch size cap (default 32)
-//!   --max-delay-us D   flush window for partial batches (default 2000)
+//!   --max-batch N      largest batch a free worker takes from the queue
+//!                      (default 32)
 //!   --queue N          request-queue capacity (default 1024)
 //!   --workers N        scoring worker threads (default 2)
 //!   --deadline-ms D    per-request deadline; 0 = none (default 0)
@@ -19,7 +19,13 @@
 //! Protocol (newline-delimited, one request per line — see
 //! `gmp_serve::proto`): LibSVM rows in, `label p1 … pk` out, `ERR <reason>`
 //! on failure; `STATS` returns one JSON line, `QUIT` closes the
-//! connection, `SHUTDOWN` drains the server and exits.
+//! connection, `SHUTDOWN` drains the server and exits. A line longer than
+//! `proto::MAX_LINE_BYTES` is answered `ERR request line too long` and
+//! its connection is closed.
+//!
+//! Each reply, newline included, leaves in one write on a `TCP_NODELAY`
+//! socket, so no reply waits on Nagle's algorithm for the client's
+//! delayed acknowledgement.
 //!
 //! The actual bind address is announced on stdout as
 //! `gmp-serve listening on HOST:PORT` so scripts (and the smoke test) can
@@ -28,7 +34,7 @@
 use gmp_serve::proto::{self, RequestLine};
 use gmp_serve::{PredictorEngine, ServeConfig, ServeHandle, Server};
 use gmp_svm::{Backend, ComputeBackendKind, MpSvmModel};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,9 +81,6 @@ fn parse_opts<I: Iterator<Item = String>>(mut args: I) -> Result<Opts, String> {
             }
             "--threads" => threads = Some(value("--threads", args.next())?),
             "--max-batch" => cfg.max_batch = value("--max-batch", args.next())?,
-            "--max-delay-us" => {
-                cfg.max_delay = Duration::from_micros(value("--max-delay-us", args.next())?)
-            }
             "--queue" => cfg.queue_cap = value("--queue", args.next())?,
             "--workers" => cfg.workers = value("--workers", args.next())?,
             "--deadline-ms" => {
@@ -196,13 +199,14 @@ fn main() -> ExitCode {
     };
     let stop = Arc::new(AtomicBool::new(false));
 
-    let mut conn_threads = Vec::new();
+    let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
         }
         match stream {
             Ok(s) => {
+                conn_threads.retain(|t| !t.is_finished());
                 let handle = server.handle();
                 let stop = Arc::clone(&stop);
                 let addr = local;
@@ -234,25 +238,36 @@ fn serve_connection(stream: TcpStream, handle: &ServeHandle, stop: &AtomicBool) 
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".to_string());
-    let mut writer = match stream.try_clone() {
+    let cloned = stream.set_nodelay(true).and_then(|()| stream.try_clone());
+    let mut writer = match cloned {
         Ok(w) => w,
         Err(e) => {
-            eprintln!("gmp-serve: [{peer}] cannot clone stream: {e}");
+            eprintln!("gmp-serve: [{peer}] cannot set up stream: {e}");
             return false;
         }
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client hung up mid-line
-        };
-        let reply = match proto::parse_line(&line) {
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    let mut out = String::new();
+    loop {
+        line.clear();
+        // Read at most one byte past the cap, so an endless line costs
+        // bounded memory.
+        let limit = proto::MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break, // client hung up
+            Ok(_) => {}
+        }
+        if line.last() != Some(&b'\n') && line.len() > proto::MAX_LINE_BYTES {
+            let _ = writer.write_all(b"ERR request line too long\n");
+            break;
+        }
+        let reply = match proto::parse_line(&String::from_utf8_lossy(&line)) {
             Ok(RequestLine::Empty) => continue,
             Ok(RequestLine::Quit) => break,
             Ok(RequestLine::Shutdown) => {
                 stop.store(true, Ordering::Release);
-                let _ = writeln!(writer, "OK shutting down");
+                let _ = writer.write_all(b"OK shutting down\n");
                 return true;
             }
             Ok(RequestLine::Stats) => proto::format_stats(&handle.metrics()),
@@ -262,7 +277,10 @@ fn serve_connection(stream: TcpStream, handle: &ServeHandle, stop: &AtomicBool) 
             },
             Err(e) => proto::format_error(&e),
         };
-        if writeln!(writer, "{reply}").is_err() {
+        out.clear();
+        out.push_str(&reply);
+        out.push('\n');
+        if writer.write_all(out.as_bytes()).is_err() {
             break; // client hung up
         }
     }

@@ -12,10 +12,11 @@
 //! * [`PredictorEngine`] loads the model once and precomputes the SV-pool
 //!   state every call reuses (pool copy, squared norms, kernel diagonal,
 //!   sigmoid validation) via [`gmp_svm::PreparedPredictor`].
-//! * [`Server`] coalesces single-instance requests from a bounded queue
-//!   into batches of up to `max_batch`, flushing a partial batch after
-//!   `max_delay`. Scoring runs on a small worker pool; results go back to
-//!   the callers one by one, **bit-identical** to what an offline
+//! * [`Server`] queues single-instance requests in one bounded queue. Each
+//!   worker of a small pool, as soon as it is free, takes one request
+//!   plus whatever else is already queued (up to `max_batch`) and scores
+//!   them as one batch — no batch ever waits for stragglers. Results go
+//!   back to the callers one by one, **bit-identical** to what an offline
 //!   `predict()` over the same rows returns.
 //! * Admission control is explicit: a full queue rejects with
 //!   [`ServeError::Overloaded`] instead of queueing unboundedly, expired

@@ -14,11 +14,16 @@
 //!
 //! Responses: `label p1 … pk` for a scored request (probabilities omitted
 //! when the model has no sigmoids), `ERR <reason>` for a failed one.
-//! Blank lines and `#` comments are ignored.
+//! Blank lines and `#` comments are ignored. A line longer than
+//! [`MAX_LINE_BYTES`] is refused with `ERR request line too long`, and the
+//! server closes that connection.
 
 use crate::batcher::{Prediction, ServeError};
 use gmp_svm::ServeReport;
 use std::fmt::Write as _;
+
+/// Longest request line the server reads, newline excluded (1 MiB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One parsed input line.
 #[derive(Debug, Clone, PartialEq)]

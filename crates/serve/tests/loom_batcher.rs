@@ -1,11 +1,13 @@
-//! Loom model-check of the micro-batcher lifecycle.
+//! Loom model-check of the micro-batching server's lifecycle.
 //!
 //! Run with: `cargo test -p gmp-serve --features loom --test loom_batcher`
 //!
-//! The server's request/job channels, shutdown flag, metrics lock, and
-//! every thread it spawns go through `gmp-sync`, so inside `loom::model`
-//! the scheduler interleaves submitters, the batcher, the worker, and the
-//! shutting-down owner. Over every explored schedule:
+//! The server's request channel, shutdown flag, metrics lock, and every
+//! thread it spawns go through `gmp-sync`, so inside `loom::model` the
+//! scheduler interleaves the owner (which starts and shuts down the
+//! server), the worker (which pulls its batches straight from the request
+//! queue; no thread sits in between), and the submitters.
+//! Over every explored schedule:
 //!
 //! - **terminal verdicts**: each submitter gets exactly one outcome, and
 //!   the only admissible ones are `Ok(prediction)` or `ShuttingDown` —
@@ -16,7 +18,7 @@
 //!   submissions — the close-based shutdown admits and drains under one
 //!   channel lock, so an admitted request is never flushed as
 //!   `ShuttingDown`;
-//! - **no lost wakeups**: a schedule where the batcher misses a submit
+//! - **no lost wakeups**: a schedule where the worker misses a submit
 //!   notification or a submitter misses its verdict deadlocks the model.
 //!
 //! Scoring itself (`PredictorEngine::predict_batch`) is sequential and
@@ -51,9 +53,6 @@ fn tiny_model() -> MpSvmModel {
 fn serve_cfg() -> ServeConfig {
     ServeConfig {
         max_batch: 2,
-        // Zero flush delay keeps the straggler wait (a wall-clock timed
-        // branch the model cannot advance) out of the explored schedules.
-        max_delay: Duration::ZERO,
         queue_cap: 2,
         workers: 1,
         default_deadline: None,
@@ -67,8 +66,8 @@ fn serve_cfg() -> ServeConfig {
 fn ledger_balances_under_concurrent_submit_and_shutdown() {
     let model = tiny_model();
     let mut b = loom::model::Builder::new();
-    // 5 threads (owner, batcher, worker, 2 submitters) blow well past
-    // exhaustive exploration; a bounded sample of schedules is the point.
+    // 4 threads (owner, worker, 2 submitters) blow well past exhaustive
+    // exploration; a bounded sample of schedules is the point.
     b.max_iterations = Some(1500);
     b.check(move || {
         let engine = PredictorEngine::new(model.clone(), Backend::gmp_default(), Some(1))
@@ -113,7 +112,7 @@ fn ledger_balances_under_concurrent_submit_and_shutdown() {
 }
 
 /// Without a shutdown race every submission must be served — a schedule
-/// where the batcher or a submitter misses its wakeup deadlocks the model.
+/// where the worker or a submitter misses its wakeup deadlocks the model.
 #[test]
 fn all_submissions_served_when_shutdown_waits() {
     let model = tiny_model();

@@ -50,7 +50,6 @@ fn microbatched_results_bitwise_match_offline_predict() {
         engine(model),
         ServeConfig {
             max_batch: 16,
-            max_delay: Duration::from_millis(3),
             workers: 2,
             ..ServeConfig::default()
         },
@@ -93,7 +92,6 @@ fn backlog_actually_coalesces_into_batches() {
         engine(model),
         ServeConfig {
             max_batch: 16,
-            max_delay: Duration::from_millis(1),
             workers: 1,
             // Slow scoring so a backlog builds behind the single worker.
             score_delay: Duration::from_millis(15),
@@ -125,7 +123,6 @@ fn full_queue_rejects_with_overloaded_and_nothing_is_lost() {
         engine(model),
         ServeConfig {
             max_batch: 1,
-            max_delay: Duration::ZERO,
             queue_cap: 2,
             workers: 1,
             // Each batch takes ~80 ms, so 16 one-shot clients saturate the
@@ -171,7 +168,6 @@ fn expired_deadline_fails_explicitly() {
         engine(model),
         ServeConfig {
             max_batch: 1,
-            max_delay: Duration::ZERO,
             workers: 1,
             score_delay: Duration::from_millis(60),
             ..ServeConfig::default()
@@ -209,7 +205,6 @@ fn graceful_shutdown_drains_admitted_requests() {
         engine(model),
         ServeConfig {
             max_batch: 4,
-            max_delay: Duration::from_millis(1),
             workers: 1,
             score_delay: Duration::from_millis(30),
             ..ServeConfig::default()

@@ -2,7 +2,7 @@
 //! can model it. API mirrors the bounded `std::sync::mpsc` channel, with
 //! cloneable receivers, plus [`Sender::close`]/[`Receiver::close`]: an explicit, idempotent
 //! end-of-stream that fails further sends but lets receivers **drain** what
-//! is already queued — the primitive behind the serve batcher's
+//! is already queued — the primitive behind the serve queue's
 //! "stop admitting, serve everything admitted" shutdown contract.
 //!
 //! Disconnection rules (checked in this order by every operation):
@@ -14,7 +14,6 @@ use crate::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Create a bounded channel of capacity `cap` (≥ 1; rendezvous channels are
 /// not supported).
@@ -103,12 +102,6 @@ pub enum TryRecvError {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    Timeout,
-    Disconnected,
-}
 
 impl<T> fmt::Debug for Sender<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -201,42 +194,6 @@ impl<T> Receiver<T> {
             return Err(TryRecvError::Disconnected);
         }
         Err(TryRecvError::Empty)
-    }
-
-    /// [`Receiver::recv`] bounded by `timeout`. Under the loom backend the
-    /// timeout elapses immediately (see the crate docs), so model code only
-    /// exercises the `Timeout` branch here.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.chan.state.lock();
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                drop(st);
-                self.chan.not_full.notify_one();
-                return Ok(v);
-            }
-            if st.recv_dead() {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            if self.chan.not_empty.wait_timeout(&mut st, remaining) {
-                // Timed out: one final look at the queue, then give up.
-                // (The backend's word is authoritative — re-looping on the
-                // wall clock would spin forever under the loom backend.)
-                if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.chan.not_full.notify_one();
-                    return Ok(v);
-                }
-                if st.recv_dead() {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                return Err(RecvTimeoutError::Timeout);
-            }
-        }
     }
 
     /// Queued item count.
@@ -343,17 +300,6 @@ mod tests {
         drop(rx);
         assert!(matches!(tx.try_send(1), Err(TrySendError::Disconnected(1))));
         assert!(matches!(tx.send(2), Err(SendError(2))));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let (tx, rx) = bounded(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.try_send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(50)), Ok(9));
     }
 
     #[test]

@@ -14,19 +14,10 @@
 //! feature: [`audit!`] blocks compile to nothing when the feature is off
 //! (the condition is `const`, so the optimizer deletes the block), letting
 //! hot paths carry heavyweight invariant checks at zero release cost.
-//!
-//! Timed waits ([`Condvar::wait_timeout`], [`channel::Receiver::recv_timeout`])
-//! deserve a note: under the loom backend *inside a model run* they never
-//! block — the timeout "elapses immediately" across a scheduling point.
-//! Model tests therefore exercise wakeup delivery through untimed waits,
-//! and timed waits only contribute their timeout branch; code must stay
-//! correct when every timed wait times out, which is exactly the storm the
-//! model explores.
 
 #[cfg(not(feature = "loom"))]
 mod imp {
     use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
-    use std::time::Duration;
 
     /// Mutual exclusion whose `lock()` returns the guard directly. A panic while the lock is held does not poison it —
     /// the next locker sees the data as the panicking thread left it, which
@@ -101,18 +92,6 @@ mod imp {
             // gmp:allow-panic — guard invariant, see `MutexGuard::deref`.
             let inner = guard.inner.take().expect("guard holds the lock");
             guard.inner = Some(self.inner.wait(inner).unwrap_or_else(|p| p.into_inner()));
-        }
-
-        /// [`Condvar::wait`] bounded by `dur`; returns whether it timed out.
-        pub fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, dur: Duration) -> bool {
-            // gmp:allow-panic — guard invariant, see `MutexGuard::deref`.
-            let inner = guard.inner.take().expect("guard holds the lock");
-            let (inner, res) = self
-                .inner
-                .wait_timeout(inner, dur)
-                .unwrap_or_else(|p| p.into_inner());
-            guard.inner = Some(inner);
-            res.timed_out()
         }
 
         pub fn notify_one(&self) {
@@ -211,7 +190,6 @@ macro_rules! audit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn mutex_and_condvar_roundtrip() {
@@ -219,14 +197,6 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 41);
         assert_eq!(m.into_inner(), 41);
-    }
-
-    #[test]
-    fn wait_timeout_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_timeout(&mut g, Duration::from_millis(1)));
     }
 
     #[test]
