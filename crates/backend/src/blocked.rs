@@ -2,7 +2,6 @@
 //! panel, and each target row is streamed **once per panel** instead of
 //! once per source row.
 
-use crate::scratch::with_scatter_scratch;
 use crate::{cost, ComputeBackend, KernelContext};
 use gmp_gpusim::pool::for_each_chunk;
 use gmp_gpusim::Executor;
@@ -20,11 +19,13 @@ const MAX_PANEL_ROWS: usize = 32;
 /// then gathered against every panel row while they are hot, fusing the
 /// dot product and the scalar kernel map.
 ///
-/// Bit-identical to [`crate::ScalarBackend`]: a value is still "iterate the
-/// target row's stored entries in index order against a densified source
-/// row, then [`crate::KernelKind::eval`]" — blocking only reorders *which
-/// (source, target) pair* is computed when, never the summation within one
-/// pair.
+/// It keeps the old per-pair order — iterate the target row's stored
+/// entries in index order against a densified source row, then
+/// [`crate::KernelKind::eval`] — so it is the independent cross-check of
+/// [`crate::ScalarBackend`]'s column walk: the two agree bit for bit on
+/// finite inputs. Blocking only reorders *which (source, target) pair* is
+/// computed when, never the summation within one pair. On sparse data it
+/// is the slower of the two, since it visits every stored target entry.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BlockedBackend;
 
@@ -72,6 +73,21 @@ impl ComputeBackend for BlockedBackend {
         fill_rows_blocked(ctx, test, test_rows, test_norms, 0..n, out);
         evals
     }
+}
+
+/// Run `f` with a zeroed scratch of at least `len` values, reusing a
+/// thread-local buffer so steady-state callers never allocate.
+fn with_scatter_scratch<R>(len: usize, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        f(&mut scratch)
+    })
 }
 
 /// Panel rows per block for a feature dimension of `ncols`.

@@ -16,17 +16,24 @@
 //! accounting for these ops, so call sites stop doing ad-hoc `KernelCost`
 //! arithmetic. Two implementations prove the seam:
 //!
-//! * [`ScalarBackend`] — the reference path: per-row scatter/gather dots.
-//! * [`BlockedBackend`] — mirrors CSR working-set rows into a
-//!   cache-blocked row-major panel and fuses dot + kernel map.
+//! * [`ScalarBackend`] — the reference path: a column walk over the
+//!   target matrix's cached transpose ([`CsrMatrix::columns`]), adding
+//!   each source nonzero's products only into the targets that store the
+//!   same feature.
+//! * [`BlockedBackend`] — the independent cross-check in the old per-pair
+//!   order: mirrors CSR working-set rows into a cache-blocked row-major
+//!   panel and fuses dot + kernel map.
 //!
 //! # Contracts every backend must honour
 //!
-//! * **Bit-identical values.** A kernel value is produced by iterating the
-//!   stored entries of the *target* row in index order against a densified
-//!   source row, then applying [`KernelKind::eval`]. Same summation order
-//!   ⇒ same bits, so backends are interchangeable mid-experiment and the
-//!   Table-4 "same classifier everywhere" claim survives the seam.
+//! * **Bit-identical values.** For finite inputs, a kernel value is the
+//!   sum of the products over the features both rows store, added in
+//!   increasing feature order from `+0.0`, then mapped by
+//!   [`KernelKind::eval`]. Extra exact `±0` products (a feature only one
+//!   side stores) never change such a sum, so every loop structure that
+//!   keeps this order gives the same bits: backends are interchangeable
+//!   mid-experiment and the Table-4 "same classifier everywhere" claim
+//!   survives the seam.
 //! * **Identical cost accounting.** Backends charge the shared [`cost`]
 //!   helpers' launches verbatim: the cost model describes the *modeled
 //!   device*, not the host loop structure, so swapping backends changes
@@ -44,7 +51,6 @@ pub mod cost;
 pub mod functions;
 mod scalar;
 mod score;
-mod scratch;
 mod select;
 
 pub use blocked::BlockedBackend;

@@ -1,15 +1,22 @@
-//! The reference backend: per-row scatter/gather dots, exactly the loop
-//! structure the kernel oracle used before the backend seam existed.
+//! The reference backend: a column walk over the target matrix's cached
+//! transpose ([`CsrMatrix::columns`]), touching only the targets that
+//! share a feature with the source row.
 
-use crate::scratch::with_scatter_scratch;
 use crate::{cost, ComputeBackend, KernelContext};
 use gmp_gpusim::pool::for_each_chunk;
 use gmp_gpusim::Executor;
 use gmp_sparse::{CsrMatrix, DenseMatrix};
 use std::ops::Range;
 
-/// Per-row scatter/gather backend — the pre-seam reference path, pinned
-/// bit-identical by the integration goldens.
+/// Column-walk backend — the reference path, pinned bit-identical by the
+/// integration goldens.
+///
+/// Each value is the sum of the products over the features both rows
+/// store, added in increasing feature order, then mapped by
+/// [`crate::KernelKind::eval`]. [`crate::BlockedBackend`]'s per-pair loop
+/// adds the same products in the same order plus one exact `±0` product
+/// per feature only the target stores; for finite values those never
+/// change a sum that starts at `+0.0`, so the two agree bit for bit.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScalarBackend;
 
@@ -74,25 +81,31 @@ fn fill_rows(
     cols: Range<usize>,
     out: &mut DenseMatrix,
 ) {
-    let data = ctx.data;
+    let columns = ctx.data.columns();
     let kind = ctx.kind;
-    let norms = ctx.norms;
-    let ncols = data.ncols();
+    let norms = &ctx.norms[cols.clone()];
+    let (lo, hi) = (cols.start as u32, cols.end as u32);
     let rows = &mut out.as_mut_slice()[..src_rows.len() * cols.len()];
-    // Each batch row is independent: scatter the source row once, then
-    // gather-dot every target row in the range and apply the kernel map.
+    // Each batch row is independent: the output row doubles as the dot
+    // accumulator. Every source nonzero `(c, s)` adds `v * s` to the
+    // targets stored in column `c` (restricted to `cols`; its row ids are
+    // sorted), then the kernel map runs in place.
     for_each_chunk(ctx.host_threads, cols.len(), rows, |first, piece| {
-        with_scatter_scratch(ncols, |scratch| {
-            for (out_row, &r) in piece.chunks_mut(cols.len()).zip(&src_rows[first..]) {
-                let row = src.row(r);
-                row.scatter(scratch);
-                let norm_r = src_norms[r];
-                for (o, j) in out_row.iter_mut().zip(cols.clone()) {
-                    let dot = data.row(j).dot_dense(scratch);
-                    *o = kind.eval(dot, norm_r, norms[j]);
+        for (out_row, &r) in piece.chunks_mut(cols.len()).zip(&src_rows[first..]) {
+            out_row.fill(0.0);
+            let row = src.row(r);
+            for (&c, &s) in row.indices.iter().zip(row.values) {
+                let col = columns.row(c as usize);
+                let a = col.indices.partition_point(|&j| j < lo);
+                let b = a + col.indices[a..].partition_point(|&j| j < hi);
+                for (&j, &v) in col.indices[a..b].iter().zip(&col.values[a..b]) {
+                    out_row[(j - lo) as usize] += v * s;
                 }
-                row.clear_scatter(scratch);
             }
-        });
+            let norm_r = src_norms[r];
+            for (o, &norm_j) in out_row.iter_mut().zip(norms) {
+                *o = kind.eval(*o, norm_r, norm_j);
+            }
+        }
     });
 }

@@ -11,10 +11,11 @@ use std::sync::Arc;
 /// every compute backend, and reports carry both labels.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum ComputeBackendKind {
-    /// Per-row scatter/gather reference path ([`ScalarBackend`]).
+    /// Column-walk reference path ([`ScalarBackend`]).
     #[default]
     Scalar,
-    /// Cache-blocked panel path ([`BlockedBackend`]).
+    /// Cache-blocked panel path in the old per-pair order
+    /// ([`BlockedBackend`]), the independent cross-check.
     Blocked,
 }
 

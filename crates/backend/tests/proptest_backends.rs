@@ -1,12 +1,24 @@
-//! Property test: the blocked backend matches the scalar backend on random
-//! sparse datasets, for every kernel kind, at every thread count — within
-//! 1e-12 relative tolerance (in practice bit-identical; the tolerance is
-//! the documented contract floor).
+//! Property test: the scalar (column-walk) and blocked (per-pair) backends
+//! agree bit for bit on random sparse datasets with finite values, for
+//! every kernel kind, at every thread count, over full and partial column
+//! ranges — including explicitly stored `0.0` and `-0.0` entries.
 
 use gmp_backend::{ComputeBackendKind, KernelContext, KernelKind};
 use gmp_gpusim::CpuExecutor;
 use gmp_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// A stored value: usually a general finite value, sometimes an explicit
+/// signed zero (`from_dense` would drop those, so rows go through
+/// `from_parts`).
+fn value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        6 => -3.0..3.0f64,
+        1 => Just(0.0),
+        1 => Just(-0.0),
+    ]
+}
 
 /// Random sparse dataset with deliberately nasty rows: empty rows and
 /// single-nnz rows are drawn with real probability mass.
@@ -16,24 +28,25 @@ fn csr(nrows: std::ops::Range<usize>, ncols: usize) -> impl Strategy<Value = Csr
             // Empty row.
             1 => Just(Vec::new()),
             // Single-nnz row.
-            2 => (0..ncols, -3.0..3.0f64).prop_map(|(c, v)| vec![(c, v)]),
+            2 => (0..ncols, value()).prop_map(|(c, v)| vec![(c, v)]),
             // General sparse row.
-            5 => proptest::collection::vec((0..ncols, -3.0..3.0f64), 1..6),
+            5 => proptest::collection::vec((0..ncols, value()), 1..6),
         ],
         nrows,
     )
     .prop_map(move |rows| {
-        let dense: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|entries| {
-                let mut row = vec![0.0; ncols];
-                for &(c, v) in entries {
-                    row[c] = v;
-                }
-                row
-            })
-            .collect();
-        CsrMatrix::from_dense(&dense, ncols)
+        let mut indptr = vec![0];
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        for entries in &rows {
+            // Sorted, one value per column (the last drawn wins).
+            let row: BTreeMap<usize, f64> = entries.iter().copied().collect();
+            for (c, v) in row {
+                indices.push(c as u32);
+                values.push(v);
+            }
+            indptr.push(indices.len());
+        }
+        CsrMatrix::from_parts(rows.len(), ncols, indptr, indices, values).unwrap()
     })
 }
 
@@ -50,9 +63,37 @@ fn kernel_kind() -> impl Strategy<Value = KernelKind> {
     ]
 }
 
-fn rel_close(a: f64, b: f64) -> bool {
-    let denom = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() / denom <= 1e-12
+/// An output block pre-filled with garbage, so a backend that forgets to
+/// reset a row shows up.
+fn garbage(nrows: usize, ncols: usize) -> DenseMatrix {
+    DenseMatrix::from_vec(nrows, ncols, vec![f64::NAN; nrows * ncols])
+}
+
+/// Every backend's `batch_kernel_rows` over `cols`, in
+/// [`ComputeBackendKind::ALL`] order.
+fn batch_rows_all(
+    ctx: &KernelContext<'_>,
+    row_ids: &[usize],
+    cols: std::ops::Range<usize>,
+) -> Vec<DenseMatrix> {
+    ComputeBackendKind::ALL
+        .iter()
+        .map(|sel| {
+            let mut out = garbage(row_ids.len(), cols.len());
+            sel.instance().batch_kernel_rows(
+                ctx,
+                &CpuExecutor::xeon(1),
+                row_ids,
+                cols.clone(),
+                &mut out,
+            );
+            out
+        })
+        .collect()
+}
+
+fn bits(m: &DenseMatrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -68,15 +109,32 @@ proptest! {
         let n = data.nrows();
         let ctx = KernelContext { data: &data, norms: &norms, kind, host_threads: threads };
         let row_ids: Vec<usize> = (0..n).rev().collect();
-        let mut outs: Vec<DenseMatrix> = Vec::new();
-        for sel in ComputeBackendKind::ALL {
-            let mut out = DenseMatrix::zeros(n, n);
-            sel.instance().batch_kernel_rows(&ctx, &CpuExecutor::xeon(1), &row_ids, 0..n, &mut out);
-            outs.push(out);
-        }
-        let (scalar, blocked) = (&outs[0], &outs[1]);
-        for (a, b) in scalar.as_slice().iter().zip(blocked.as_slice()) {
-            prop_assert!(rel_close(*a, *b), "scalar={a} blocked={b} kind={kind:?}");
+        let outs = batch_rows_all(&ctx, &row_ids, 0..n);
+        prop_assert_eq!(bits(&outs[0]), bits(&outs[1]), "kind={:?}", kind);
+    }
+
+    #[test]
+    fn blocked_matches_scalar_on_an_inner_column_range(
+        data in csr(3..10, 7),
+        kind in kernel_kind(),
+        threads in 1usize..4,
+        (a_seed, b_seed) in (0usize..64, 0usize..64),
+    ) {
+        let n = data.nrows();
+        // 0 < a < b < n: the range touches neither end of the targets.
+        let a = 1 + a_seed % (n - 2);
+        let b = a + 1 + b_seed % (n - 1 - a);
+        let norms = data.row_norms_sq();
+        let ctx = KernelContext { data: &data, norms: &norms, kind, host_threads: threads };
+        let row_ids: Vec<usize> = (0..n).rev().collect();
+        let outs = batch_rows_all(&ctx, &row_ids, a..b);
+        prop_assert_eq!(bits(&outs[0]), bits(&outs[1]), "kind={:?} cols={}..{}", kind, a, b);
+        // A segment is bit-identical to the same columns of the full row.
+        let full = batch_rows_all(&ctx, &row_ids, 0..n);
+        for bi in 0..row_ids.len() {
+            let seg: Vec<u64> = outs[0].row(bi).iter().map(|v| v.to_bits()).collect();
+            let whole: Vec<u64> = full[0].row(bi)[a..b].iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(seg, whole, "row {}", bi);
         }
     }
 
@@ -92,13 +150,10 @@ proptest! {
         let rows: Vec<usize> = (0..test.nrows()).collect();
         let mut outs: Vec<DenseMatrix> = Vec::new();
         for sel in ComputeBackendKind::ALL {
-            let mut out = DenseMatrix::zeros(rows.len(), data.nrows());
+            let mut out = garbage(rows.len(), data.nrows());
             sel.instance().test_sv_matrix(&ctx, &CpuExecutor::xeon(1), &test, &rows, &test_norms, &mut out);
             outs.push(out);
         }
-        let (scalar, blocked) = (&outs[0], &outs[1]);
-        for (a, b) in scalar.as_slice().iter().zip(blocked.as_slice()) {
-            prop_assert!(rel_close(*a, *b), "scalar={a} blocked={b} kind={kind:?}");
-        }
+        prop_assert_eq!(bits(&outs[0]), bits(&outs[1]), "kind={:?}", kind);
     }
 }

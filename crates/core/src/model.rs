@@ -202,6 +202,7 @@ impl MpSvmModel {
         for _ in 0..pool_rows {
             let (ln, row_line) = lines.next().ok_or_else(|| err(0, "truncated sv_pool"))?;
             builder.start_row();
+            let mut prev_col = 0usize;
             for tok in row_line.split_whitespace() {
                 let (i, v) = tok
                     .split_once(':')
@@ -210,7 +211,17 @@ impl MpSvmModel {
                 if col == 0 {
                     return Err(err(ln + 1, "sv indices are 1-based"));
                 }
+                if col > pool_cols {
+                    return Err(err(ln + 1, "sv index beyond pool cols"));
+                }
+                if col <= prev_col {
+                    return Err(err(ln + 1, "sv indices not strictly increasing"));
+                }
+                prev_col = col;
                 let val: f64 = v.parse().map_err(|_| err(ln + 1, "bad sv value"))?;
+                if !val.is_finite() {
+                    return Err(err(ln + 1, "non-finite sv value"));
+                }
                 builder.push((col - 1) as u32, val);
             }
         }
@@ -416,6 +427,44 @@ mod tests {
         assert_eq!(e.line, 2);
         let e = MpSvmModel::from_text("gmp-svm-model v1\nclasses 2\nkernel warp 1\n").unwrap_err();
         assert_eq!(e.line, 3);
+    }
+
+    /// `sample_model`'s text with its last SV row (line 7) replaced.
+    fn with_last_sv_row(row: &str) -> Result<MpSvmModel, ModelParseError> {
+        let text = sample_model().to_text();
+        let mut lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[6], "1:1.5 2:-0.5");
+        lines[6] = row;
+        MpSvmModel::from_text(&lines.join("\n"))
+    }
+
+    #[test]
+    fn non_finite_sv_values_are_refused() {
+        for row in ["1:NaN 2:-0.5", "1:1.5 2:inf", "1:-inf"] {
+            let e = with_last_sv_row(row).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (7, "non-finite sv value"));
+        }
+    }
+
+    #[test]
+    fn unsorted_sv_indices_are_refused() {
+        for row in ["2:-0.5 1:1.5", "1:1.5 1:-0.5"] {
+            let e = with_last_sv_row(row).unwrap_err();
+            assert_eq!(
+                (e.line, e.message.as_str()),
+                (7, "sv indices not strictly increasing")
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_sv_indices_are_refused() {
+        assert!(with_last_sv_row("1:1.5 2:-0.5").is_ok());
+        let e = with_last_sv_row("1:1.5 3:-0.5").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (7, "sv index beyond pool cols")
+        );
     }
 
     #[test]

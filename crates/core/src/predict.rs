@@ -255,7 +255,7 @@ impl MpSvmModel {
 
     /// [`MpSvmModel::decisions_shared`] against a caller-held oracle over
     /// the SV pool, so long-lived predictors ([`PreparedPredictor`]) pay
-    /// the pool clone + norm precomputation once instead of per call.
+    /// the pool clone, norms and column view once instead of per call.
     /// Host threading rides on the oracle's backend configuration.
     fn decisions_shared_with(
         &self,
@@ -375,9 +375,10 @@ impl MpSvmModel {
 ///
 /// [`MpSvmModel::predict`] rebuilds per-call state the paper's batched
 /// prediction amortizes over one big test file: the SV-pool copy handed to
-/// the kernel oracle, the pool's squared norms, and the kernel diagonal.
-/// A long-lived server scoring many small batches pays that setup on every
-/// call. `PreparedPredictor` hoists it to construction time and reuses it
+/// the kernel oracle, the pool's squared norms, the kernel diagonal, and
+/// the pool's column view ([`CsrMatrix::columns`]). A long-lived server
+/// scoring many small batches pays that setup on every call.
+/// `PreparedPredictor` hoists it to construction time and reuses it
 /// for every batch, while routing the actual scoring through the **same**
 /// shared code path as `predict` — so results are bit-identical to the
 /// offline API no matter how requests are batched.
@@ -386,9 +387,9 @@ pub struct PreparedPredictor {
     backend: Backend,
     compute: ComputeBackendKind,
     host_threads: usize,
-    /// Persistent oracle over the shared SV pool (norms + diagonal
-    /// precomputed). `None` for unshared backends, which score per-binary
-    /// SV lists and have no pool-wide state to reuse.
+    /// Persistent oracle over the shared SV pool (norms, diagonal and
+    /// column view precomputed). `None` for unshared backends, which score
+    /// per-binary SV lists and have no pool-wide state to reuse.
     oracle: Option<KernelOracle>,
 }
 
@@ -409,9 +410,12 @@ impl PreparedPredictor {
         let ht = resolve_host_threads_opt(host_threads);
         let shared = matches!(backend, Backend::Gmp { .. } | Backend::CpuBatched { .. });
         let oracle = (shared && model.sv_pool.nrows() > 0).then(|| {
-            KernelOracle::new(Arc::new(model.sv_pool.clone()), model.kernel)
+            let oracle = KernelOracle::new(Arc::new(model.sv_pool.clone()), model.kernel)
                 .with_host_threads(ht)
-                .with_backend(compute.instance())
+                .with_backend(compute.instance());
+            // Build the pool's column view now, so no request pays for it.
+            oracle.data().columns();
+            oracle
         });
         PreparedPredictor {
             model,

@@ -489,8 +489,12 @@ impl MpSvmTrainer {
         setup.charge_transfer(data_bytes);
         let mut total_sim = setup.elapsed();
 
+        let host_threads = self.resolve_host_threads();
+        // Waves run one problem per host thread; threads a short problem
+        // list leaves idle (a binary set has one problem) go to each launch.
         let oracle = Arc::new(
             KernelOracle::new(Arc::new(grouped.x.clone()), self.params.kernel)
+                .with_host_threads(host_threads / problems.len().max(1))
                 .with_backend(self.params.compute_backend.instance()),
         );
         let layout = ClassLayout::new(offsets.to_vec());
@@ -526,7 +530,6 @@ impl MpSvmTrainer {
         }
 
         let solver = BatchedSmoSolver::new(self.params.batched());
-        let host_threads = self.resolve_host_threads();
         let mut fits: Vec<Option<BinaryFit>> = (0..problems.len()).map(|_| None).collect();
         for (w, wave_fits) in fits.chunks_mut(conc).enumerate() {
             let wave = &problems[w * conc..w * conc + wave_fits.len()];
@@ -780,6 +783,24 @@ mod tests {
             forty.report.sim_s,
             one.report.sim_s
         );
+    }
+
+    #[test]
+    fn binary_set_trains_identically_on_two_host_threads() {
+        // One problem: the spare host thread goes to the kernel launches.
+        let mut data = blobs3();
+        data.y.iter_mut().for_each(|y| *y = (*y).min(1));
+        let train = |threads| {
+            MpSvmTrainer::new(params(), Backend::gmp_default())
+                .with_host_threads(Some(threads))
+                .train(&data)
+                .unwrap()
+        };
+        let (one, two) = (train(1), train(2));
+        assert_eq!(one.model.binaries.len(), 1);
+        assert_eq!(one.model.to_text(), two.model.to_text());
+        assert_eq!(one.report.kernel_evals, two.report.kernel_evals);
+        assert_eq!(one.report.sim_s.to_bits(), two.report.sim_s.to_bits());
     }
 
     #[test]

@@ -31,7 +31,15 @@ pub struct KernelOracle {
 impl KernelOracle {
     /// Build an oracle over `data` (norms and diagonal precomputed). The
     /// compute backend defaults to the `GMP_BACKEND` selection.
+    ///
+    /// Every stored value must be finite: that is the precondition under
+    /// which all backends agree bit for bit (audited under
+    /// `debug-invariants`).
     pub fn new(data: Arc<CsrMatrix>, kind: KernelKind) -> Self {
+        gmp_sync::audit!(assert!(
+            data.rows().all(|r| r.values.iter().all(|v| v.is_finite())),
+            "kernel oracle dataset holds a non-finite value"
+        ));
         let norms = data.row_norms_sq();
         let diag = norms.iter().map(|&n2| kind.self_eval(n2)).collect();
         KernelOracle {
@@ -236,6 +244,13 @@ mod tests {
             ],
             2,
         ))
+    }
+
+    #[test]
+    fn non_finite_data_trips_the_audit() {
+        let data = Arc::new(CsrMatrix::from_dense(&[vec![1.0, f64::NAN]], 2));
+        let built = std::panic::catch_unwind(|| KernelOracle::new(data, KernelKind::Linear));
+        assert_eq!(built.is_err(), gmp_sync::AUDIT);
     }
 
     #[test]

@@ -83,8 +83,8 @@ fn steady_state_ensure_does_not_allocate() {
     };
 
     // Warm-up: grow every scratch structure (miss lists, pinned set,
-    // batch-Vec pool, dense block, thread-local scatter buffer) to its
-    // steady-state footprint.
+    // batch-Vec pool, dense block, the data's cached column view or the
+    // blocked backend's thread-local panel) to its steady-state footprint.
     for _ in 0..3 {
         cycle(&mut provider, &exec);
     }

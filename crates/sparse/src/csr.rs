@@ -1,6 +1,7 @@
 //! Compressed sparse row matrices.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors produced when constructing or validating a [`CsrMatrix`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,12 +42,26 @@ impl std::error::Error for CsrError {}
 ///   `indptr[nrows] == indices.len() == values.len()`;
 /// * every column index is `< ncols`;
 /// * column indices are strictly increasing within each row.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the stored entries only, never the cached
+/// [`CsrMatrix::columns`] copy.
+#[derive(Debug, Clone)]
 pub struct CsrMatrix {
     ncols: usize,
     indptr: Vec<usize>,
     indices: Vec<u32>,
     values: Vec<f64>,
+    /// The transpose, built by the first [`CsrMatrix::columns`] call.
+    columns: OnceLock<Box<CsrMatrix>>,
+}
+
+impl PartialEq for CsrMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.ncols == other.ncols
+            && self.indptr == other.indptr
+            && self.indices == other.indices
+            && self.values == other.values
+    }
 }
 
 /// Borrowed view of a single CSR row: parallel slices of column indices and
@@ -180,6 +195,7 @@ impl CsrMatrix {
             indptr,
             indices,
             values,
+            columns: OnceLock::new(),
         })
     }
 
@@ -190,6 +206,7 @@ impl CsrMatrix {
             indptr: vec![0],
             indices: Vec::new(),
             values: Vec::new(),
+            columns: OnceLock::new(),
         }
     }
 
@@ -287,6 +304,7 @@ impl CsrMatrix {
             indptr,
             indices,
             values,
+            columns: OnceLock::new(),
         }
     }
 
@@ -334,7 +352,16 @@ impl CsrMatrix {
             indptr,
             indices,
             values,
+            columns: OnceLock::new(),
         }
+    }
+
+    /// The column view: [`CsrMatrix::transpose`], built on the first call
+    /// and kept for the matrix's lifetime, so row `c` lists every row that
+    /// stores feature `c`, in increasing row order. The kernel backend
+    /// walks it to touch only the targets a source row's nonzeros reach.
+    pub fn columns(&self) -> &CsrMatrix {
+        self.columns.get_or_init(|| Box::new(self.transpose()))
     }
 
     /// Approximate heap footprint in bytes (used by the device-memory
@@ -568,6 +595,27 @@ mod tests {
         let e = CsrMatrix::empty(4).transpose();
         assert_eq!(e.nrows(), 4);
         assert_eq!(e.nnz(), 0);
+    }
+
+    #[test]
+    fn columns_is_the_cached_transpose() {
+        let m = sample();
+        let first = m.columns();
+        assert_eq!(*first, m.transpose());
+        assert!(std::ptr::eq(first, m.columns()), "second call rebuilt");
+        assert_eq!(CsrMatrix::empty(2).columns().nrows(), 2);
+    }
+
+    #[test]
+    fn equality_ignores_the_cached_columns() {
+        let built = sample();
+        built.columns();
+        let fresh = sample();
+        assert_eq!(built, fresh);
+        assert_eq!(fresh, built);
+        assert_eq!(built.clone(), fresh.clone());
+        assert_eq!(*built.clone().columns(), *fresh.columns());
+        assert_ne!(built, built.select_rows(&[0, 1]));
     }
 
     #[test]

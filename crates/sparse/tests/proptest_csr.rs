@@ -115,6 +115,18 @@ proptest! {
     }
 
     #[test]
+    fn columns_is_the_cached_transpose(d in dense_matrix(7, 9)) {
+        let m = CsrMatrix::from_dense(&d, d[0].len());
+        let copy = m.clone();
+        prop_assert_eq!(m.columns(), &m.transpose());
+        prop_assert!(std::ptr::eq(m.columns(), m.columns()));
+        prop_assert_eq!(&m, &copy);
+        let recopy = m.clone();
+        prop_assert_eq!(&recopy, &copy);
+        prop_assert_eq!(recopy.columns(), copy.columns());
+    }
+
+    #[test]
     fn select_rows_preserves_content(d in dense_matrix(8, 5), seed in 0u64..1000) {
         let m = CsrMatrix::from_dense(&d, d[0].len());
         // Deterministic pseudo-random subset from the seed.
