@@ -42,8 +42,11 @@ impl KernelKind {
         match *self {
             KernelKind::Rbf { gamma } => {
                 // ||a-b||² = ||a||² + ||b||² - 2 a·b; clamp the tiny negative
-                // values floating-point cancellation can produce.
-                let d2 = (norm_i + norm_j - 2.0 * dot).max(0.0);
+                // values floating-point cancellation can produce. Only
+                // negatives: `max(0.0)` would also turn a NaN into 0 and so a
+                // NaN input into a plausible kernel value of 1.
+                let d2 = norm_i + norm_j - 2.0 * dot;
+                let d2 = if d2 < 0.0 { 0.0 } else { d2 };
                 (-gamma * d2).exp()
             }
             KernelKind::Linear => dot,
@@ -103,6 +106,23 @@ mod tests {
         // Slightly inconsistent inputs due to rounding: distance would be -1e-17.
         let v = k.eval(1.0 + 5e-18, 1.0, 1.0);
         assert!(v <= 1.0 && v > 0.999999);
+    }
+
+    #[test]
+    fn rbf_negative_distance_gives_exactly_one() {
+        let k = KernelKind::Rbf { gamma: 1.0 };
+        // dot = 1 + 2⁻⁵², so ||a||² + ||b||² − 2 a·b = −2⁻⁵¹.
+        let dot = 1.0 + f64::EPSILON;
+        assert!(1.0 + 1.0 - 2.0 * dot < 0.0);
+        assert_eq!(k.eval(dot, 1.0, 1.0).to_bits(), 1.0f64.to_bits());
+    }
+
+    #[test]
+    fn rbf_propagates_nan() {
+        let k = KernelKind::Rbf { gamma: 0.5 };
+        assert!(k.eval(f64::NAN, 1.0, 1.0).is_nan());
+        assert!(k.eval(0.5, f64::NAN, 1.0).is_nan());
+        assert!(k.eval(0.5, 1.0, f64::NAN).is_nan());
     }
 
     #[test]

@@ -182,16 +182,14 @@ fn empty_launches_compute_nothing_and_charge_nothing() {
 
 #[test]
 fn score_rows_matches_manual_sums_and_preserves_columns() {
-    let block = DenseMatrix::from_vec(
-        3,
-        4,
-        vec![
-            1.0, 2.0, 3.0, 4.0, 0.5, -1.0, 0.0, 2.0, -2.0, 0.25, 1.5, -0.5,
-        ],
-    );
-    let idx = [0u32, 2, 3];
-    let coef_gather = [0.5, -1.0, 2.0];
-    let coef_dense = [1.0, 0.0, -0.5, 0.25];
+    // Row counts 0..=9 reach empty blocks, lone remainder rows, one and two
+    // groups of four, and groups followed by every remainder length; three
+    // threads also split the rows into pieces that start off a group
+    // boundary. Inexact coefficients and a repeated column make a sum taken
+    // in any other order show up in the bits.
+    let idx = [0u32, 2, 3, 1, 2];
+    let coef_gather = [0.3, -1.7, 2.9, 0.11, -0.6];
+    let coef_dense = [1.3, 0.0, -0.7, 0.45];
     let scorers = [
         RowScorer {
             out_col: 0,
@@ -206,23 +204,31 @@ fn score_rows_matches_manual_sums_and_preserves_columns() {
             rho: -1.0,
         },
     ];
-    for threads in [1usize, 3] {
-        let mut out = vec![vec![9.0; 3]; 3];
-        let exec = CpuExecutor::xeon(1);
-        ScalarBackend.score_rows(&exec, &block, &scorers, threads, &mut out);
-        assert!(exec.elapsed() > 0.0);
-        for (ri, row) in out.iter().enumerate() {
-            let krow = block.row(ri);
-            let gathered: f64 = coef_gather
-                .iter()
-                .zip(idx.iter())
-                .map(|(c, &i)| c * krow[i as usize])
-                .sum();
-            let dense: f64 = coef_dense.iter().zip(krow).map(|(c, k)| c * k).sum();
-            assert_eq!(row[0].to_bits(), (gathered - 0.1).to_bits());
-            assert_eq!(row[2].to_bits(), (dense - (-1.0)).to_bits());
-            // Unowned column untouched.
-            assert_eq!(row[1], 9.0, "threads={threads}");
+    for rows in 0..=9usize {
+        let values = (0..rows * 4)
+            .map(|i| (i as f64 * 0.37).sin() * 3.0)
+            .collect();
+        let block = DenseMatrix::from_vec(rows, 4, values);
+        for threads in [1usize, 2, 3] {
+            let mut out = vec![vec![9.0; 3]; rows];
+            let exec = CpuExecutor::xeon(1);
+            ScalarBackend.score_rows(&exec, &block, &scorers, threads, &mut out);
+            // The map charge scales with rows × references: none for none.
+            assert_eq!(exec.elapsed() > 0.0, rows > 0, "rows={rows}");
+            for (ri, row) in out.iter().enumerate() {
+                let krow = block.row(ri);
+                // Sums from 0.0 in SV-list order, as the contract states.
+                let gathered = coef_gather
+                    .iter()
+                    .zip(idx.iter())
+                    .fold(0.0, |v, (c, &i)| v + c * krow[i as usize]);
+                let dense = coef_dense.iter().zip(krow).fold(0.0, |v, (c, k)| v + c * k);
+                let at = format!("rows={rows} threads={threads} row={ri}");
+                assert_eq!(row[0].to_bits(), (gathered - 0.1).to_bits(), "{at}");
+                assert_eq!(row[2].to_bits(), (dense - (-1.0)).to_bits(), "{at}");
+                // Unowned column untouched.
+                assert_eq!(row[1], 9.0, "{at}");
+            }
         }
     }
 }

@@ -1,9 +1,14 @@
-//! Property test: the scalar (column-walk) and blocked (per-pair) backends
-//! agree bit for bit on random sparse datasets with finite values, for
-//! every kernel kind, at every thread count, over full and partial column
-//! ranges — including explicitly stored `0.0` and `-0.0` entries.
+//! Property tests:
+//!
+//! 1. The scalar (column-walk) and blocked (per-pair) backends agree bit
+//!    for bit on random sparse datasets with finite values, for every
+//!    kernel kind, at every thread count, over full and partial column
+//!    ranges — including explicitly stored `0.0` and `-0.0` entries.
+//! 2. `score_rows` equals, bit for bit, a reference that scores one row at
+//!    a time with each sum taken from `0.0` in SV-list order, for any block
+//!    height, mix of gathered and dense scorers, and thread count.
 
-use gmp_backend::{ComputeBackendKind, KernelContext, KernelKind};
+use gmp_backend::{ComputeBackendKind, KernelContext, KernelKind, RowScorer};
 use gmp_gpusim::CpuExecutor;
 use gmp_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
@@ -92,6 +97,34 @@ fn batch_rows_all(
         .collect()
 }
 
+/// One scorer's payload `(sv_idx, coef, rho)`: gathered columns (repeats
+/// allowed, possibly none), a dense sweep over all `cols` block columns,
+/// or a dense sweep with an empty `coef`.
+type ScorerSpec = (Option<Vec<u32>>, Vec<f64>, f64);
+
+fn scorer_spec(cols: usize) -> impl Strategy<Value = ScorerSpec> {
+    let lists = prop_oneof![
+        3 => proptest::collection::vec((0..cols as u32, value()), 0..=11).prop_map(|refs| {
+            let (idx, coef): (Vec<u32>, Vec<f64>) = refs.into_iter().unzip();
+            (Some(idx), coef)
+        }),
+        2 => proptest::collection::vec(value(), cols).prop_map(|coef| (None, coef)),
+        1 => Just((None, Vec::new())),
+    ];
+    (lists, -2.0..2.0f64).prop_map(|((idx, coef), rho)| (idx, coef, rho))
+}
+
+/// A kernel block of 0..=9 rows and the scorers reducing it.
+fn scoring_case() -> impl Strategy<Value = (DenseMatrix, Vec<ScorerSpec>)> {
+    (0usize..=9, 1usize..8).prop_flat_map(|(rows, cols)| {
+        (
+            proptest::collection::vec(value(), rows * cols)
+                .prop_map(move |v| DenseMatrix::from_vec(rows, cols, v)),
+            proptest::collection::vec(scorer_spec(cols), 0..=5),
+        )
+    })
+}
+
 fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -155,5 +188,46 @@ proptest! {
             outs.push(out);
         }
         prop_assert_eq!(bits(&outs[0]), bits(&outs[1]), "kind={:?}", kind);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn score_rows_matches_one_row_at_a_time(
+        (block, specs) in scoring_case(),
+        threads in 1usize..5,
+    ) {
+        let rows = block.nrows();
+        // Scorer `i` owns output column `i + 1`; column 0 is nobody's.
+        let scorers: Vec<RowScorer<'_>> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, (idx, coef, rho))| RowScorer {
+                out_col: i + 1,
+                sv_idx: idx.as_deref(),
+                coef,
+                rho: *rho,
+            })
+            .collect();
+        let mut want = vec![vec![f64::NAN; specs.len() + 1]; rows];
+        for (ri, row) in want.iter_mut().enumerate() {
+            let krow = block.row(ri);
+            for s in &scorers {
+                let v = match s.sv_idx {
+                    Some(idx) => s.coef.iter().zip(idx).fold(0.0, |v, (c, &j)| v + c * krow[j as usize]),
+                    None => s.coef.iter().zip(krow).fold(0.0, |v, (c, k)| v + c * k),
+                };
+                row[s.out_col] = v - s.rho;
+            }
+        }
+        let want: Vec<u64> = want.iter().flatten().map(|v| v.to_bits()).collect();
+        for sel in ComputeBackendKind::ALL {
+            let mut out = vec![vec![f64::NAN; specs.len() + 1]; rows];
+            sel.instance().score_rows(&CpuExecutor::xeon(1), &block, &scorers, threads, &mut out);
+            let got: Vec<u64> = out.iter().flatten().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "{} rows={} threads={}", sel.name(), rows, threads);
+        }
     }
 }

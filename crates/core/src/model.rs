@@ -158,10 +158,27 @@ impl MpSvmModel {
     }
 
     /// Parse the plain-text model format.
+    ///
+    /// Refuses, with the 1-based line number, anything that would load as
+    /// a model that panics or predicts plausible-looking nonsense: fewer
+    /// than two classes, a binary list other than exactly
+    /// [`crate::ovo::class_pairs`] in order, non-finite kernel parameters,
+    /// `rho`, coefficients or sigmoid parameters (a NaN `A` is the "no
+    /// sigmoid" marker [`MpSvmModel::to_text`] writes), and malformed SV
+    /// rows or coefficient tokens.
     pub fn from_text(text: &str) -> Result<MpSvmModel, ModelParseError> {
         let err = |line: usize, message: &str| ModelParseError {
             line,
             message: message.to_string(),
+        };
+        // A finite `f64` token; `what` names it in the error.
+        let finite = |tok: &str, line: usize, what: &str| -> Result<f64, ModelParseError> {
+            let v: f64 = tok.parse().map_err(|_| err(line, &format!("bad {what}")))?;
+            if v.is_finite() {
+                Ok(v)
+            } else {
+                Err(err(line, &format!("non-finite {what}")))
+            }
         };
         let mut lines = text.lines().enumerate();
         let (ln, header) = lines.next().ok_or_else(|| err(1, "empty model"))?;
@@ -173,23 +190,27 @@ impl MpSvmModel {
             .strip_prefix("classes ")
             .and_then(|s| s.trim().parse().ok())
             .ok_or_else(|| err(ln + 1, "bad classes line"))?;
+        if classes < 2 {
+            return Err(err(ln + 1, "fewer than two classes"));
+        }
         let (ln, kernel_line) = lines.next().ok_or_else(|| err(3, "missing kernel"))?;
+        let kl = ln + 1;
         let ktoks: Vec<&str> = kernel_line.split_whitespace().collect();
         let kernel = match ktoks.as_slice() {
             ["kernel", "rbf", g] => KernelKind::Rbf {
-                gamma: g.parse().map_err(|_| err(ln + 1, "bad gamma"))?,
+                gamma: finite(g, kl, "gamma")?,
             },
             ["kernel", "linear"] => KernelKind::Linear,
             ["kernel", "poly", g, c0, d] => KernelKind::Poly {
-                gamma: g.parse().map_err(|_| err(ln + 1, "bad gamma"))?,
-                coef0: c0.parse().map_err(|_| err(ln + 1, "bad coef0"))?,
-                degree: d.parse().map_err(|_| err(ln + 1, "bad degree"))?,
+                gamma: finite(g, kl, "gamma")?,
+                coef0: finite(c0, kl, "coef0")?,
+                degree: d.parse().map_err(|_| err(kl, "bad degree"))?,
             },
             ["kernel", "sigmoid", g, c0] => KernelKind::Sigmoid {
-                gamma: g.parse().map_err(|_| err(ln + 1, "bad gamma"))?,
-                coef0: c0.parse().map_err(|_| err(ln + 1, "bad coef0"))?,
+                gamma: finite(g, kl, "gamma")?,
+                coef0: finite(c0, kl, "coef0")?,
             },
-            _ => return Err(err(ln + 1, "bad kernel line")),
+            _ => return Err(err(kl, "bad kernel line")),
         };
         let (ln, pool_line) = lines.next().ok_or_else(|| err(4, "missing sv_pool"))?;
         let ptoks: Vec<&str> = pool_line.split_whitespace().collect();
@@ -218,15 +239,12 @@ impl MpSvmModel {
                     return Err(err(ln + 1, "sv indices not strictly increasing"));
                 }
                 prev_col = col;
-                let val: f64 = v.parse().map_err(|_| err(ln + 1, "bad sv value"))?;
-                if !val.is_finite() {
-                    return Err(err(ln + 1, "non-finite sv value"));
-                }
-                builder.push((col - 1) as u32, val);
+                builder.push((col - 1) as u32, finite(v, ln + 1, "sv value")?);
             }
         }
         let sv_pool = builder.finish();
         let mut binaries = Vec::new();
+        let mut pairs = crate::ovo::class_pair_iter(classes);
         while let Some((ln, bl)) = lines.next() {
             if bl.trim().is_empty() {
                 continue;
@@ -237,24 +255,37 @@ impl MpSvmModel {
             }
             let s: u16 = toks[1].parse().map_err(|_| err(ln + 1, "bad s"))?;
             let t: u16 = toks[2].parse().map_err(|_| err(ln + 1, "bad t"))?;
-            let rho: f64 = toks[3].parse().map_err(|_| err(ln + 1, "bad rho"))?;
+            match pairs.next() {
+                Some(pair) if pair == (s as usize, t as usize) => {}
+                Some((es, et)) => {
+                    let msg = format!("expected binary {es} {et}, found {s} {t}");
+                    return Err(err(ln + 1, &msg));
+                }
+                None => {
+                    let msg = format!("binary {s} {t} beyond the {classes}-class pairs");
+                    return Err(err(ln + 1, &msg));
+                }
+            }
+            let rho = finite(toks[3], ln + 1, "rho")?;
             let a: f64 = toks[4].parse().map_err(|_| err(ln + 1, "bad A"))?;
-            let b: f64 = toks[5].parse().map_err(|_| err(ln + 1, "bad B"))?;
             let nsv: usize = toks[6].parse().map_err(|_| err(ln + 1, "bad nsv"))?;
             let sigmoid = if a.is_nan() {
                 None
             } else {
                 Some(SigmoidParams {
-                    a,
-                    b,
+                    a: finite(toks[4], ln + 1, "A")?,
+                    b: finite(toks[5], ln + 1, "B")?,
                     iterations: 0,
                 })
             };
             let (cln, coef_line) = lines
                 .next()
                 .ok_or_else(|| err(ln + 2, "truncated binary coefficients"))?;
-            let mut sv_idx = Vec::with_capacity(nsv);
-            let mut coef = Vec::with_capacity(nsv);
+            // The claimed count only sizes the buffers once the pool bounds
+            // it; the parsed tokens must match it exactly below.
+            let cap = nsv.min(sv_pool.nrows());
+            let mut sv_idx = Vec::with_capacity(cap);
+            let mut coef = Vec::with_capacity(cap);
             for tok in coef_line.split_whitespace() {
                 let (i, v) = tok
                     .split_once(':')
@@ -264,7 +295,7 @@ impl MpSvmModel {
                     return Err(err(cln + 1, "coef index out of pool"));
                 }
                 sv_idx.push(idx);
-                coef.push(v.parse().map_err(|_| err(cln + 1, "bad coef value"))?);
+                coef.push(finite(v, cln + 1, "coef value")?);
             }
             if sv_idx.len() != nsv {
                 return Err(err(cln + 1, "coefficient count mismatch"));
@@ -277,6 +308,10 @@ impl MpSvmModel {
                 rho,
                 sigmoid,
             });
+        }
+        if let Some((s, t)) = pairs.next() {
+            let msg = format!("binary list ends before binary {s} {t}");
+            return Err(err(text.lines().count(), &msg));
         }
         Ok(MpSvmModel {
             classes,
@@ -465,6 +500,122 @@ mod tests {
             (e.line, e.message.as_str()),
             (7, "sv index beyond pool cols")
         );
+    }
+
+    /// `sample_model`'s text with its lines edited by `edit` (0-based
+    /// indices: line `n` of an error is `lines[n - 1]`).
+    fn edited(edit: impl FnOnce(&mut Vec<String>)) -> Result<MpSvmModel, ModelParseError> {
+        let mut lines: Vec<String> = sample_model().to_text().lines().map(String::from).collect();
+        assert_eq!(lines[7], "binary 0 1 0.1 -1.5 0.2 2");
+        edit(&mut lines);
+        MpSvmModel::from_text(&lines.join("\n"))
+    }
+
+    /// The error of a model whose line `n` (1-based) reads `line`.
+    fn refusal(n: usize, line: &str) -> ModelParseError {
+        edited(|l| l[n - 1] = line.to_string()).unwrap_err()
+    }
+
+    #[test]
+    fn fewer_than_two_classes_are_refused() {
+        for classes in ["classes 0", "classes 1"] {
+            let e = refusal(2, classes);
+            assert_eq!((e.line, e.message.as_str()), (2, "fewer than two classes"));
+        }
+    }
+
+    #[test]
+    fn class_id_beyond_classes_is_refused() {
+        let e = refusal(8, "binary 0 99 0.1 -1.5 0.2 2");
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (8, "expected binary 0 1, found 0 99")
+        );
+    }
+
+    #[test]
+    fn swapped_pair_is_refused() {
+        let e = refusal(12, "binary 2 1 0.05 -1 0.1 2");
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (12, "expected binary 1 2, found 2 1")
+        );
+    }
+
+    #[test]
+    fn duplicate_pair_is_refused() {
+        let e = refusal(10, "binary 0 1 -0.2 -2 0 2");
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (10, "expected binary 0 2, found 0 1")
+        );
+    }
+
+    #[test]
+    fn missing_binary_is_refused() {
+        let e = edited(|l| l.truncate(11)).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (11, "binary list ends before binary 1 2")
+        );
+    }
+
+    #[test]
+    fn extra_binary_is_refused() {
+        let e = edited(|l| {
+            l.push("binary 1 2 0.05 -1 0.1 2".to_string());
+            l.push("1:0.3 2:-0.3".to_string());
+        })
+        .unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (14, "binary 1 2 beyond the 3-class pairs")
+        );
+    }
+
+    #[test]
+    fn non_finite_rho_is_refused() {
+        for rho in ["inf", "-inf", "NaN"] {
+            let e = refusal(8, &format!("binary 0 1 {rho} -1.5 0.2 2"));
+            assert_eq!((e.line, e.message.as_str()), (8, "non-finite rho"));
+        }
+    }
+
+    #[test]
+    fn non_finite_coefficients_are_refused() {
+        for coefs in ["0:NaN 1:-0.5", "0:0.5 1:-inf"] {
+            let e = refusal(9, coefs);
+            assert_eq!((e.line, e.message.as_str()), (9, "non-finite coef value"));
+        }
+    }
+
+    #[test]
+    fn non_finite_kernel_parameters_are_refused() {
+        for (kernel, what) in [
+            ("kernel rbf NaN", "gamma"),
+            ("kernel rbf inf", "gamma"),
+            ("kernel poly NaN 1 3", "gamma"),
+            ("kernel poly 0.5 -inf 3", "coef0"),
+            ("kernel sigmoid inf 0", "gamma"),
+            ("kernel sigmoid 0.1 NaN", "coef0"),
+        ] {
+            let e = refusal(3, kernel);
+            assert_eq!((e.line, e.message), (3, format!("non-finite {what}")));
+        }
+    }
+
+    #[test]
+    fn non_finite_sigmoid_is_refused_but_nan_a_means_none() {
+        for (a, b, what) in [
+            ("-1.5", "NaN", "B"),
+            ("-1.5", "inf", "B"),
+            ("-inf", "0.2", "A"),
+        ] {
+            let e = refusal(8, &format!("binary 0 1 0.1 {a} {b} 2"));
+            assert_eq!((e.line, e.message), (8, format!("non-finite {what}")));
+        }
+        let m = edited(|l| l[7] = "binary 0 1 0.1 NaN 0.2 2".to_string()).unwrap();
+        assert!(m.binaries[0].sigmoid.is_none());
     }
 
     #[test]

@@ -5,13 +5,15 @@ use gmp_datasets::Dataset;
 /// All `k(k-1)/2` ordered class pairs `(s, t)` with `s < t`, in LibSVM's
 /// enumeration order.
 pub fn class_pairs(k: usize) -> Vec<(u16, u16)> {
-    let mut pairs = Vec::with_capacity(k * (k - 1) / 2);
-    for s in 0..k {
-        for t in s + 1..k {
-            pairs.push((s as u16, t as u16));
-        }
-    }
-    pairs
+    class_pair_iter(k)
+        .map(|(s, t)| (s as u16, t as u16))
+        .collect()
+}
+
+/// [`class_pairs`] as a lazy iterator: nothing is allocated up front, so
+/// an untrusted class count (a model file's) cannot size an allocation.
+pub fn class_pair_iter(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..k).flat_map(move |s| (s + 1..k).map(move |t| (s, t)))
 }
 
 /// A materialized binary subproblem: the instances of classes `s` and `t`.
@@ -102,6 +104,7 @@ mod tests {
         assert_eq!(class_pairs(3), vec![(0, 1), (0, 2), (1, 2)]);
         assert_eq!(class_pairs(10).len(), 45);
         assert_eq!(class_pairs(20).len(), 190);
+        assert!(class_pairs(0).is_empty() && class_pairs(1).is_empty());
     }
 
     fn toy() -> Dataset {

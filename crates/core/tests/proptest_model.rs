@@ -1,15 +1,19 @@
-//! Property test: the plain-text model format is lossless.
+//! Property tests of the plain-text model format.
 //!
-//! `MpSvmModel::from_text(m.to_text())` must reproduce the model exactly —
-//! f64 `Display` emits the shortest round-trippable decimal, so equality
-//! here is bitwise, not approximate. Models are generated directly
-//! (random class counts, sparse SV pools, with/without sigmoids) rather
-//! than trained, to reach corner cases training never emits: empty SV
-//! rows, empty coefficient lists, negative values, mixed sigmoid presence.
+//! 1. It is lossless: `MpSvmModel::from_text(m.to_text())` must reproduce
+//!    the model exactly — f64 `Display` emits the shortest round-trippable
+//!    decimal, so equality here is bitwise, not approximate.
+//! 2. It is a boundary: a model file with one token mutated either fails
+//!    to parse or loads as a model that predicts without panicking.
+//!
+//! Models are generated directly (random class counts, sparse SV pools,
+//! with/without sigmoids) rather than trained, to reach corner cases
+//! training never emits: empty SV rows, empty coefficient lists, negative
+//! values, mixed sigmoid presence.
 
 use gmp_prob::SigmoidParams;
 use gmp_sparse::CsrBuilder;
-use gmp_svm::{BinarySvm, KernelKind, MpSvmModel};
+use gmp_svm::{Backend, BinarySvm, KernelKind, MpSvmModel};
 use proptest::prelude::*;
 
 fn kernel_strategy() -> impl Strategy<Value = KernelKind> {
@@ -129,5 +133,60 @@ proptest! {
         prop_assert_eq!(&m, &back);
         // And the format is a fixed point: reserializing changes nothing.
         prop_assert_eq!(text, back.to_text());
+    }
+}
+
+/// Replacement tokens: non-finite and extreme numbers, small ids around
+/// the class and pool bounds, garbage, and deletion.
+const MUTATIONS: [&str; 17] = [
+    "NaN", "inf", "-inf", "1e308", "-1e308", "0", "1", "2", "3", "4", "9", "-1", "0.5", "65535",
+    "x", "binary", "",
+];
+
+/// Byte ranges of the atoms of `text`: maximal runs without a space, a
+/// `:` or a line break (so `3:0.5` holds two atoms).
+fn atoms(text: &str) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut start = None;
+    for (i, ch) in text.char_indices() {
+        let sep = matches!(ch, ' ' | ':' | '\n');
+        match (start, sep) {
+            (None, false) => start = Some(i),
+            (Some(s), true) => {
+                out.push((s, i));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if let Some(s) = start {
+        out.push((s, text.len()));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn one_mutated_token_is_refused_or_predicts(
+        m in model_strategy(),
+        at in 0usize..10_000,
+        with in 0usize..MUTATIONS.len(),
+    ) {
+        let text = m.to_text();
+        let atoms = atoms(&text);
+        let (a, b) = atoms[at % atoms.len()];
+        let mutated = format!("{}{}{}", &text[..a], MUTATIONS[with], &text[b..]);
+        if let Ok(loaded) = MpSvmModel::from_text(&mutated) {
+            // Score the model's own SV pool on the shared and the
+            // per-binary paths; an `Err` is a refusal, only a panic fails.
+            for backend in [Backend::gmp_default(), Backend::libsvm()] {
+                if let Ok(p) = loaded.predict(&loaded.sv_pool, &backend) {
+                    prop_assert_eq!(p.labels.len(), loaded.sv_pool.nrows());
+                    prop_assert!(p.labels.iter().all(|&l| (l as usize) < loaded.classes));
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! summation order, a charge, or the model text shows up as a hash
 //! mismatch, not a tolerance failure.
 
-use gmp_datasets::{BlobSpec, Dataset};
+use gmp_datasets::{BlobSpec, Dataset, PaperDataset, SplitDataset};
 use gmp_svm::predict::PredictOutcome;
 use gmp_svm::{Backend, SvmParams};
 
@@ -67,6 +67,25 @@ pub fn golden_params() -> SvmParams {
 /// The pinned scenario's execution backend.
 pub fn golden_backend() -> Backend {
     Backend::gmp_default()
+}
+
+/// The many-class pinned scenario: the News20 stand-in (20 classes,
+/// 0.13% dense over 62,061 features, 190 binaries with long SV lists) at
+/// 8% of its published size, split 80/20: 1,020 training rows, about 100
+/// per binary and nearly all of them SVs. Small enough to train in about
+/// two seconds in a debug build.
+pub fn news20_golden_split() -> SplitDataset {
+    PaperDataset::News20.generate_split(0.08)
+}
+
+/// Parameters of the News20 scenario: Table 2's C and γ with the reduced
+/// working set the Table-3 pipeline uses.
+pub fn news20_golden_params() -> SvmParams {
+    let spec = PaperDataset::News20.spec();
+    SvmParams::default()
+        .with_c(spec.c)
+        .with_rbf(spec.gamma)
+        .with_working_set(128, 64)
 }
 
 #[cfg(test)]

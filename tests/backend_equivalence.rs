@@ -8,8 +8,14 @@
 //!    eval counts, and simulated times (train → `to_text` → `from_text` →
 //!    serve-score end to end).
 //! 3. Host threading never changes bits, on any backend.
+//! 4. A many-feature, many-binary scenario (the News20 stand-in) keeps
+//!    pinned bits through every predict route: offline at any host-thread
+//!    count and served in batches of any size.
 
-use gmp_integration::{fnv64, golden_backend, golden_dataset, golden_params, predict_hashes};
+use gmp_integration::{
+    fnv64, fnv64_f64s, fnv64_u32s, golden_backend, golden_dataset, golden_params,
+    news20_golden_params, news20_golden_split, predict_hashes,
+};
 use gmp_serve::PredictorEngine;
 use gmp_svm::{Backend, ComputeBackendKind, MpSvmModel, MpSvmTrainer, TrainOutcome};
 
@@ -173,4 +179,56 @@ fn unshared_prediction_path_agrees_across_backends() {
         hashes.push(predict_hashes(&pred));
     }
     assert!(hashes.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// News20 goldens, captured before decision scoring took rows in groups
+/// of four (single host thread, any compute backend).
+const NEWS20_MODEL_FNV: u64 = 0xf38dbf51c5d31aa8;
+const NEWS20_DV_FNV: u64 = 0x25296dd7be50a263;
+const NEWS20_PROB_FNV: u64 = 0xf3a502bd758dd613;
+const NEWS20_LABELS_FNV: u64 = 0xeac5ded79e511f3c;
+
+#[test]
+fn news20_stand_in_matches_goldens_on_every_predict_route() {
+    let split = news20_golden_split();
+    let out = MpSvmTrainer::new(news20_golden_params(), golden_backend())
+        .with_host_threads(Some(1))
+        .train(&split.train)
+        // gmp:allow-panic — test
+        .expect("training the News20 scenario");
+    assert_eq!(out.model.classes, 20);
+    let text = out.model.to_text();
+    let golden = (NEWS20_DV_FNV, NEWS20_PROB_FNV, NEWS20_LABELS_FNV);
+    assert_eq!(fnv64(text.bytes()), NEWS20_MODEL_FNV, "model text drifted");
+
+    for threads in [1, 3] {
+        let pred = out
+            .model
+            .predict_with_threads(&split.test.x, &golden_backend(), Some(threads))
+            // gmp:allow-panic — test
+            .expect("offline prediction");
+        assert_eq!(predict_hashes(&pred), golden, "{threads} host threads");
+    }
+
+    // Served in batches of 1, 5 and 16 rows: the batches of 5 and 16 reach
+    // both the groups of four rows and the one-row remainder.
+    let engine = PredictorEngine::new(out.model, golden_backend(), Some(1))
+        // gmp:allow-panic — test
+        .expect("engine construction");
+    let n = split.test.n();
+    for batch in [1, 5, 16] {
+        let (mut dv, mut prob, mut labels) = (Vec::new(), Vec::new(), Vec::new());
+        for start in (0..n).step_by(batch) {
+            let rows: Vec<usize> = (start..(start + batch).min(n)).collect();
+            let part = engine
+                .predict_batch(&split.test.x.select_rows(&rows))
+                // gmp:allow-panic — test
+                .expect("serve scoring");
+            dv.extend(part.decision_values.into_iter().flatten());
+            prob.extend(part.probabilities.into_iter().flatten());
+            labels.extend(part.labels);
+        }
+        let served = (fnv64_f64s(&dv), fnv64_f64s(&prob), fnv64_u32s(&labels));
+        assert_eq!(served, golden, "batches of {batch}");
+    }
 }

@@ -78,11 +78,16 @@ fn corrupted_models_rejected_with_context() {
     // Truncate mid-file.
     let truncated: String = text.lines().take(3).collect::<Vec<_>>().join("\n");
     assert!(MpSvmModel::from_text(&truncated).is_err());
-    // Corrupt a coefficient index beyond the pool.
+    // A class id beyond the class count is refused on its own line.
     let bad = text.replace("binary 0 1", "binary 0 999");
-    // Either parse error or structurally-valid-but-odd pair id; parsing the
-    // pair id itself succeeds, so corrupt the pool size instead.
-    let _ = bad;
+    let err = MpSvmModel::from_text(&bad).unwrap_err();
+    let binary_line = text
+        .lines()
+        .position(|l| l.starts_with("binary 0 1"))
+        .unwrap()
+        + 1;
+    assert_eq!(err.line, binary_line, "{err}");
+    assert!(err.message.contains("found 0 999"), "{err}");
     let bad_pool = text.replacen("sv_pool", "sv_pool_oops", 1);
     let err = MpSvmModel::from_text(&bad_pool).unwrap_err();
     assert!(
