@@ -7,8 +7,14 @@
 //! 2. `score_rows` equals, bit for bit, a reference that scores one row at
 //!    a time with each sum taken from `0.0` in SV-list order, for any block
 //!    height, mix of gathered and dense scorers, and thread count.
+//! 3. The scalar backend's kernel values equal, bit for bit, a naive
+//!    reference that shares no code with either backend: both rows
+//!    densified, every feature's product summed in increasing order from
+//!    `+0.0`, norms summed the same way, then `KernelKind::eval`.
 
-use gmp_backend::{ComputeBackendKind, KernelContext, KernelKind, RowScorer};
+use gmp_backend::{
+    ComputeBackend, ComputeBackendKind, KernelContext, KernelKind, RowScorer, ScalarBackend,
+};
 use gmp_gpusim::CpuExecutor;
 use gmp_sparse::{CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
@@ -129,6 +135,34 @@ fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Every row of `m` scattered into a dense vector (stored `-0.0` kept).
+fn densify(m: &CsrMatrix) -> Vec<Vec<f64>> {
+    (0..m.nrows())
+        .map(|r| {
+            let mut d = vec![0.0; m.ncols()];
+            m.row(r).scatter(&mut d);
+            d
+        })
+        .collect()
+}
+
+/// The naive kernel values of every `src` row against every `targets`
+/// row, row-major: each dot product and norm summed over every feature in
+/// increasing order from `+0.0`, then mapped by `KernelKind::eval`.
+fn naive_block<'a>(
+    kind: KernelKind,
+    src: impl Iterator<Item = &'a Vec<f64>>,
+    targets: &[Vec<f64>],
+) -> Vec<u64> {
+    let dot = |u: &[f64], v: &[f64]| u.iter().zip(v).fold(0.0, |s, (x, y)| s + x * y);
+    src.flat_map(|q| {
+        targets
+            .iter()
+            .map(move |t| kind.eval(dot(q, t), dot(q, q), dot(t, t)).to_bits())
+    })
+    .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -188,6 +222,36 @@ proptest! {
             outs.push(out);
         }
         prop_assert_eq!(bits(&outs[0]), bits(&outs[1]), "kind={:?}", kind);
+    }
+
+    #[test]
+    fn scalar_matches_naive_dense_reference(
+        (data, test) in (csr(1..9, 7), csr(1..7, 7)),
+        kind in kernel_kind(),
+        threads in 1usize..5,
+        (a_seed, b_seed) in (0usize..64, 0usize..64),
+    ) {
+        let n = data.nrows();
+        // Any non-empty column range 0 <= a < b <= n.
+        let a = a_seed % n;
+        let b = a + 1 + b_seed % (n - a);
+        let dense = densify(&data);
+        let norms = data.row_norms_sq();
+        let ctx = KernelContext { data: &data, norms: &norms, kind, host_threads: threads };
+        let exec = CpuExecutor::xeon(1);
+
+        let row_ids: Vec<usize> = (0..n).rev().collect();
+        let mut out = garbage(row_ids.len(), b - a);
+        ScalarBackend.batch_kernel_rows(&ctx, &exec, &row_ids, a..b, &mut out);
+        let want = naive_block(kind, row_ids.iter().map(|&r| &dense[r]), &dense[a..b]);
+        prop_assert_eq!(bits(&out), want, "batch rows kind={:?} cols={}..{}", kind, a, b);
+
+        let test_rows: Vec<usize> = (0..test.nrows()).collect();
+        let test_norms: Vec<f64> = (0..test.nrows()).map(|r| test.row(r).norm_sq()).collect();
+        let mut out = garbage(test_rows.len(), n);
+        ScalarBackend.test_sv_matrix(&ctx, &exec, &test, &test_rows, &test_norms, &mut out);
+        let want = naive_block(kind, densify(&test).iter(), &dense);
+        prop_assert_eq!(bits(&out), want, "test x SV kind={:?}", kind);
     }
 }
 

@@ -31,24 +31,18 @@
 
 pub mod cv;
 pub mod model;
-pub mod model_selection;
-pub mod oneclass;
 pub mod ovo;
 pub mod ovr;
 pub mod params;
 pub mod predict;
-pub mod svr;
 pub mod telemetry;
 pub mod trainer;
 
 pub use model::{BinarySvm, ModelParseError, MpSvmModel};
-pub use model_selection::{GridPoint, GridSearch};
-pub use oneclass::{train_one_class, OneClassModel, OneClassParams};
 pub use ovo::{class_pairs, BinaryProblem};
 pub use ovr::{evaluate_ovr, OvrModel};
 pub use params::{Backend, SvmParams};
 pub use predict::{PredictOutcome, PreparedPredictor};
-pub use svr::{train_svr, SvrModel, SvrParams};
 pub use telemetry::{BinaryTrainStats, LatencyHistogram, PredictReport, ServeReport, TrainReport};
 pub use trainer::{MpSvmTrainer, TrainError, TrainOutcome};
 

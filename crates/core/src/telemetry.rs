@@ -56,8 +56,6 @@ pub struct TrainReport {
     pub device: Option<DeviceStats>,
     /// Peak simulated device memory in bytes (GPU backends only).
     pub peak_device_mem: u64,
-    /// Simulated seconds spent fitting sigmoids (probability phase).
-    pub sigmoid_sim_s: f64,
     /// Binary SVMs trained concurrently per wave (1 = sequential).
     pub concurrency: usize,
     /// Real host threads that drove concurrent work (1 = sequential).

@@ -145,7 +145,7 @@ impl MpSvmTrainer {
             return Err(TrainError::TooFewClasses { found: k });
         }
         let wall_start = Instant::now();
-        let (grouped, offsets, map, problems) = ovo::decompose(data);
+        let (grouped, offsets, _, problems) = ovo::decompose(data);
 
         let (fits, sim_s, device, peak_mem, concurrency, host_threads) = match &self.backend {
             Backend::CpuClassic { threads } => {
@@ -227,7 +227,6 @@ impl MpSvmTrainer {
             });
         }
 
-        let sigmoid_sim_s = 0.0;
         let model = MpSvmModel {
             classes: k,
             kernel: self.params.kernel,
@@ -247,11 +246,9 @@ impl MpSvmTrainer {
             per_binary,
             device: device.as_ref().map(|d| d.stats()),
             peak_device_mem: peak_mem,
-            sigmoid_sim_s,
             concurrency,
             host_threads,
         };
-        let _ = map; // grouped->original map is carried inside problems
         Ok(TrainOutcome { model, report })
     }
 

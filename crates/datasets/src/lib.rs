@@ -12,11 +12,9 @@
 pub mod dataset;
 pub mod libsvm_format;
 pub mod paper;
-pub mod preprocess;
 pub mod synth;
 
 pub use dataset::{Dataset, SplitDataset};
 pub use libsvm_format::{parse_libsvm, write_libsvm, LibsvmStreamParser, ParseError};
 pub use paper::PaperDataset;
-pub use preprocess::{l2_normalize, scale_pair, MinMaxScaler};
 pub use synth::{BlobSpec, SynthSpec};

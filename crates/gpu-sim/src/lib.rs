@@ -11,7 +11,7 @@
 //!    binary SVM at a time and what the kernel-value / support-vector
 //!    sharing techniques relieve.
 //! 2. **A massively-parallel execution cost model.** Work is submitted as
-//!    kernel launches ([`Stream::launch`]) described by thread count, FLOPs
+//!    kernel launches ([`Executor::charge`]) described by thread count, FLOPs
 //!    and bytes touched; the model charges
 //!    `launch_overhead + max(compute_time, memory_time)` with compute
 //!    throughput proportional to the granted SM fraction and saturating at

@@ -15,7 +15,7 @@
 //! # Concurrency
 //!
 //! The store is safe to share (`Arc`) between binary problems solved on
-//! concurrent host threads. The segment map is split into [`N_SHARDS`]
+//! concurrent host threads. The segment map is split into `N_SHARDS`
 //! independently locked shards so problems touching different instances
 //! never contend, and segment computation is **single-flight**: the first
 //! requester of a missing segment installs a `Pending` marker and computes

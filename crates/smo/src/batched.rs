@@ -107,62 +107,18 @@ impl BatchedSmoSolver {
         exec: &dyn Executor,
         caps: &[f64],
     ) -> SolverResult {
-        let f_init: Vec<f64> = y.iter().map(|&yi| -yi).collect();
-        self.solve_with_init(y, rows, exec, caps, &f_init)
-    }
-
-    /// Fully general form (see `ClassicSmoSolver::solve_with_init`):
-    /// custom linear term via the initial indicators. ε-SVR uses this.
-    pub fn solve_with_init(
-        &self,
-        y: &[f64],
-        rows: &mut dyn KernelRows,
-        exec: &dyn Executor,
-        caps: &[f64],
-        f_init: &[f64],
-    ) -> SolverResult {
-        let alpha0 = vec![0.0f64; rows.n()];
-        self.solve_warm(y, rows, exec, caps, f_init, &alpha0)
-    }
-
-    /// Warm-started general form: initial weights `alpha0` (feasible for
-    /// the caps and the equality constraint) with `f_init` already
-    /// reflecting them, i.e. `f_init[i] = Σ_j α0_j y_j K_ij + y_i p_i`.
-    /// One-class SVM (ν-initialization) enters here.
-    pub fn solve_warm(
-        &self,
-        y: &[f64],
-        rows: &mut dyn KernelRows,
-        exec: &dyn Executor,
-        caps: &[f64],
-        f_init: &[f64],
-        alpha0: &[f64],
-    ) -> SolverResult {
         let n = rows.n();
         assert_eq!(y.len(), n, "label/instance count mismatch");
         assert_eq!(caps.len(), n, "cap/instance count mismatch");
-        assert_eq!(f_init.len(), n, "f_init/instance count mismatch");
-        assert_eq!(alpha0.len(), n, "alpha0/instance count mismatch");
         assert!(
             y.iter().all(|&v| v == 1.0 || v == -1.0),
             "labels must be ±1"
         );
         assert!(caps.iter().all(|&c| c > 0.0), "caps must be positive");
-        assert!(
-            alpha0
-                .iter()
-                .zip(caps)
-                .all(|(&a, &c)| (0.0..=c).contains(&a)),
-            "alpha0 violates the box"
-        );
         let params = self.params.clamped_for(n);
         let eps = params.base.eps;
-        // Every pair update moves α_u and α_l by ±λy, so Σ y α is conserved
-        // from the warm start onward; the per-round audit holds it to that.
-        let y_alpha_target: f64 = y.iter().zip(alpha0).map(|(&yi, &a)| yi * a).sum();
-
-        let mut alpha = alpha0.to_vec();
-        let mut f: Vec<f64> = f_init.to_vec();
+        let mut alpha = vec![0.0f64; n];
+        let mut f: Vec<f64> = y.iter().map(|&yi| -yi).collect();
 
         let mut ws: Vec<usize> = Vec::with_capacity(params.ws_size);
         let mut in_ws = vec![false; n];
@@ -369,7 +325,7 @@ impl BatchedSmoSolver {
             sim.other_s += exec.elapsed() - s3;
 
             outer_rounds += 1;
-            audit_solver_state(y, &alpha, caps, &f, y_alpha_target);
+            audit_solver_state(y, &alpha, caps, &f);
             if !changed && fresh.is_empty() {
                 // Stalled: no new candidates and no inner progress.
                 break;
@@ -378,7 +334,7 @@ impl BatchedSmoSolver {
                 break;
             }
         }
-        audit_solver_state(y, &alpha, caps, &f, y_alpha_target);
+        audit_solver_state(y, &alpha, caps, &f);
 
         let rho = compute_rho_capped(y, &alpha, &f, caps);
         let objective = compute_objective(y, &alpha, &f);
@@ -402,14 +358,15 @@ impl BatchedSmoSolver {
 /// `debug-invariants` audit of the solver state after an outer round:
 ///
 /// - the box `0 ≤ α_i ≤ C_i` holds exactly (pair updates clip to it);
-/// - the equality constraint `Σ y α` is conserved from the warm start;
+/// - the equality constraint `Σ y α = 0` holds: α starts at zero and
+///   every pair update moves α_u and α_l by ±λy, conserving the sum;
 /// - every optimality indicator is finite, and every instance still
 ///   belongs to `I_u ∪ I_l` — an α nudged outside the box by a broken
 ///   update drops out of both sets and is silently never selected again.
 ///
 /// Compiled out unless the `debug-invariants` feature is on.
 #[allow(unused_variables)]
-fn audit_solver_state(y: &[f64], alpha: &[f64], caps: &[f64], f: &[f64], y_alpha_target: f64) {
+fn audit_solver_state(y: &[f64], alpha: &[f64], caps: &[f64], f: &[f64]) {
     gmp_sync::audit!({
         for i in 0..alpha.len() {
             assert!(
@@ -433,8 +390,8 @@ fn audit_solver_state(y: &[f64], alpha: &[f64], caps: &[f64], f: &[f64], y_alpha
         let y_alpha: f64 = y.iter().zip(alpha).map(|(&yi, &a)| yi * a).sum();
         let tol = 1e-9 * caps.iter().fold(1.0f64, |m, &c| m.max(c)) * alpha.len() as f64;
         assert!(
-            (y_alpha - y_alpha_target).abs() <= tol,
-            "equality constraint drifted: sum y*alpha = {y_alpha}, expected {y_alpha_target}"
+            y_alpha.abs() <= tol,
+            "equality constraint drifted: sum y*alpha = {y_alpha}, expected 0"
         );
     });
 }

@@ -48,27 +48,9 @@ impl ClassicSmoSolver {
         exec: &dyn Executor,
         caps: &[f64],
     ) -> SolverResult {
-        // f_i = Σ α_j y_j K_ij - y_i starts at -y_i (Algorithm 1 line 2).
-        let f_init: Vec<f64> = y.iter().map(|&yi| -yi).collect();
-        self.solve_with_init(y, rows, exec, caps, &f_init)
-    }
-
-    /// Fully general form: solve `min ½βᵀQβ + pᵀβ` over `0 ≤ β ≤ caps`,
-    /// `Σ y β = 0`, where the linear term enters through the initial
-    /// indicators `f_init[i] = y_i p_i`. Classification uses `p = -1`
-    /// (so `f_init = -y`); ε-SVR maps its 2n-variable dual here.
-    pub fn solve_with_init(
-        &self,
-        y: &[f64],
-        rows: &mut dyn KernelRows,
-        exec: &dyn Executor,
-        caps: &[f64],
-        f_init: &[f64],
-    ) -> SolverResult {
         let n = rows.n();
         assert_eq!(y.len(), n, "label/instance count mismatch");
         assert_eq!(caps.len(), n, "cap/instance count mismatch");
-        assert_eq!(f_init.len(), n, "f_init/instance count mismatch");
         assert!(
             y.iter().all(|&v| v == 1.0 || v == -1.0),
             "labels must be ±1"
@@ -76,8 +58,9 @@ impl ClassicSmoSolver {
         assert!(caps.iter().all(|&c| c > 0.0), "caps must be positive");
         let eps = self.params.eps;
 
+        // f_i = Σ α_j y_j K_ij - y_i starts at -y_i (Algorithm 1 line 2).
         let mut alpha = vec![0.0f64; n];
-        let mut f: Vec<f64> = f_init.to_vec();
+        let mut f: Vec<f64> = y.iter().map(|&yi| -yi).collect();
 
         let mut iterations = 0u64;
         let mut converged = false;
@@ -113,7 +96,7 @@ impl ClassicSmoSolver {
                 // indicators, reactivate everyone, and re-check globally.
                 let tk = Instant::now();
                 let sk = exec.elapsed();
-                Self::reconstruct_f(y, f_init, &alpha, &mut f, &active, rows, exec);
+                Self::reconstruct_f(y, &alpha, &mut f, &active, rows, exec);
                 active.fill(true);
                 n_shrunk = 0;
                 next_shrink = iterations + shrink_interval;
@@ -229,7 +212,7 @@ impl ClassicSmoSolver {
         if n_shrunk > 0 {
             // Hit the iteration cap with instances still shrunk: make the
             // returned indicators consistent anyway.
-            Self::reconstruct_f(y, f_init, &alpha, &mut f, &active, rows, exec);
+            Self::reconstruct_f(y, &alpha, &mut f, &active, rows, exec);
         }
         let rho = compute_rho_capped(y, &alpha, &f, caps);
         let objective = compute_objective(y, &alpha, &f);
@@ -249,11 +232,10 @@ impl ClassicSmoSolver {
         }
     }
 
-    /// Recompute `f_i = Σ_j α_j y_j K_ij + f_init_i` for every inactive
+    /// Recompute `f_i = Σ_j α_j y_j K_ij - y_i` for every inactive
     /// `i` from the support vectors (LibSVM's `reconstruct_gradient`).
     fn reconstruct_f(
         y: &[f64],
-        f_init: &[f64],
         alpha: &[f64],
         f: &mut [f64],
         active: &[bool],
@@ -267,7 +249,7 @@ impl ClassicSmoSolver {
         }
         for (i, fi) in f.iter_mut().enumerate() {
             if !active[i] {
-                *fi = f_init[i];
+                *fi = -y[i];
             }
         }
         for j in 0..n {

@@ -1,123 +1,11 @@
-//! Integration tests for the beyond-the-paper features: ε-SVR, one-class
-//! SVM, preprocessing, grid search, class weights, and CV-calibrated
+//! Integration tests for the beyond-the-paper features kept alongside the
+//! paper's pipeline: probability metrics, class weights, and CV-calibrated
 //! sigmoids, composed end-to-end.
 
-use gmp_datasets::{scale_pair, BlobSpec, PaperDataset};
+use gmp_datasets::{BlobSpec, PaperDataset};
 use gmp_prob::{brier_score, calibration, log_loss};
-use gmp_sparse::CsrMatrix;
-use gmp_svm::model_selection::GridSearch;
 use gmp_svm::predict::error_rate;
-use gmp_svm::{
-    train_one_class, train_svr, Backend, KernelKind, MpSvmTrainer, OneClassParams, SvmParams,
-    SvrParams,
-};
-
-#[test]
-fn svr_on_scaled_features() {
-    // Preprocess -> regression pipeline: scale features to [0,1], fit a
-    // smooth function of the scaled inputs.
-    let xs: Vec<Vec<f64>> = (0..120)
-        .map(|i| vec![i as f64, (i * 7 % 120) as f64])
-        .collect();
-    let x = CsrMatrix::from_dense(&xs, 2);
-    let scaler = gmp_datasets::MinMaxScaler::fit(&x);
-    let xs_scaled = scaler.transform(&x);
-    let z: Vec<f64> = (0..120)
-        .map(|i| {
-            let mut d = vec![0.0; 2];
-            xs_scaled.row(i).scatter(&mut d);
-            (3.0 * d[0]).sin() + d[1]
-        })
-        .collect();
-    let model = train_svr(
-        SvrParams {
-            kernel: KernelKind::Rbf { gamma: 2.0 },
-            c: 10.0,
-            epsilon: 0.05,
-            ..Default::default()
-        },
-        &xs_scaled,
-        &z,
-    );
-    assert!(model.converged);
-    let pred = model.predict(&xs_scaled);
-    let mse: f64 = pred
-        .iter()
-        .zip(&z)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / z.len() as f64;
-    assert!(mse < 0.02, "mse {mse}");
-}
-
-#[test]
-fn one_class_flags_the_other_class() {
-    // Train a one-class model on class 0 only; class-2 points (opposite
-    // side of the blob circle) must score lower on average.
-    let data = BlobSpec {
-        n: 240,
-        dim: 2,
-        classes: 3,
-        spread: 0.15,
-        seed: 101,
-    }
-    .generate();
-    let class0 = data.select(&data.class_indices(0));
-    let class2 = data.select(&data.class_indices(2));
-    let model = train_one_class(
-        OneClassParams {
-            kernel: KernelKind::Rbf { gamma: 2.0 },
-            nu: 0.1,
-            tolerance: 1e-3,
-            ws_size: 64,
-        },
-        &class0.x,
-    );
-    let own: f64 = model.decision_values(&class0.x).iter().sum::<f64>() / class0.n() as f64;
-    let other: f64 = model.decision_values(&class2.x).iter().sum::<f64>() / class2.n() as f64;
-    assert!(own > other, "own {own} vs other {other}");
-    let other_inliers = model
-        .predict_inlier(&class2.x)
-        .iter()
-        .filter(|&&b| b)
-        .count();
-    assert!(
-        other_inliers * 4 < class2.n(),
-        "{other_inliers}/{} class-2 points accepted",
-        class2.n()
-    );
-}
-
-#[test]
-fn grid_search_then_final_fit() {
-    let data = BlobSpec {
-        n: 120,
-        dim: 2,
-        classes: 3,
-        spread: 0.25,
-        seed: 102,
-    }
-    .generate();
-    let grid = GridSearch {
-        c_values: vec![0.1, 2.0],
-        gamma_values: vec![0.1, 1.0],
-        folds: 3,
-        seed: 5,
-    };
-    let base = SvmParams::default().with_working_set(16, 8);
-    let (best, points) = grid
-        .run(base, &Backend::libsvm(), &data)
-        .expect("grid search");
-    assert_eq!(points.len(), 4);
-    let out = MpSvmTrainer::new(best, Backend::gmp_default())
-        .train(&data)
-        .expect("final fit");
-    let pred = out
-        .model
-        .predict(&data.x, &Backend::gmp_default())
-        .expect("predict");
-    assert!(error_rate(&pred.labels, &data.y) <= points[0].cv_error + 0.05);
-}
+use gmp_svm::{Backend, MpSvmTrainer, SvmParams};
 
 #[test]
 fn probability_metrics_on_real_pipeline() {
@@ -192,25 +80,4 @@ fn cv_sigmoid_end_to_end_probabilities() {
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-6);
     }
     assert!(error_rate(&pred.labels, &split.test.y) < 0.3);
-}
-
-#[test]
-fn scale_pair_preserves_learnability() {
-    let split = PaperDataset::Webdata.generate_split(0.006);
-    let (train_s, test_s, _) = scale_pair(&split.train, &split.test);
-    let params = SvmParams::default()
-        .with_c(10.0)
-        .with_rbf(0.5)
-        .with_working_set(32, 16);
-    let out = MpSvmTrainer::new(params, Backend::cmp_svm())
-        .train(&train_s)
-        .expect("train");
-    let pred = out
-        .model
-        .predict(&test_s.x, &Backend::cmp_svm())
-        .expect("predict");
-    assert!(
-        error_rate(&pred.labels, &test_s.y) < 0.15,
-        "scaled pipeline error too high"
-    );
 }
