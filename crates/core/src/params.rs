@@ -1,7 +1,7 @@
 //! Training parameters and backend selection.
 
 use gmp_gpusim::DeviceConfig;
-use gmp_kernel::{ComputeBackendKind, KernelKind, ReplacementPolicy};
+use gmp_kernel::{ComputeBackendKind, KernelKind};
 use gmp_smo::{BatchedParams, SmoParams};
 
 /// Hyper-parameters shared by every backend.
@@ -24,9 +24,6 @@ pub struct SvmParams {
     /// Row-cache capacity for the classic solvers (models LibSVM's kernel
     /// cache / the GPU baseline's "4GB for kernel value caching").
     pub cache_rows: usize,
-    /// Buffer replacement policy (FIFO-batch per the paper; LRU for the
-    /// ablation).
-    pub buffer_policy: ReplacementPolicy,
     /// Safety cap on SMO iterations per binary problem.
     pub max_iter: u64,
     /// LibSVM's shrinking heuristic for the classic (LibSVM-like) solver
@@ -54,7 +51,6 @@ impl Default for SvmParams {
             q: 512,
             inner_relax: 0.1,
             cache_rows: 1024,
-            buffer_policy: ReplacementPolicy::FifoBatch,
             max_iter: 10_000_000,
             shrinking: false,
             sigmoid_cv_folds: 0,

@@ -6,8 +6,12 @@
 //! choice); an LRU row-granular policy is included for the ablation the
 //! paper declares out of scope ("finding the best strategy for replacement
 //! is out of the scope of this paper").
+//!
+//! [`KernelBuffer::fill`] is the one working-set row fill: the row
+//! providers differ only in the launch that computes its misses.
 
 use gmp_gpusim::{Device, DeviceAlloc, DeviceError};
+use gmp_sparse::DenseMatrix;
 use std::collections::{HashMap, VecDeque};
 
 /// Row replacement policy.
@@ -53,23 +57,28 @@ pub struct KernelBuffer {
     capacity: usize,
     storage: Vec<f64>,
     /// instance id -> slot
-    slot_of: HashMap<u32, usize>,
-    /// slot -> instance id (u32::MAX = free)
-    id_of: Vec<u32>,
+    slot_of: HashMap<usize, usize>,
+    /// slot -> instance id (usize::MAX = free)
+    id_of: Vec<usize>,
     free_slots: Vec<usize>,
     /// FIFO of insertion batches (ids may have been evicted individually
     /// by pinning; stale entries are skipped).
-    batches: VecDeque<Vec<u32>>,
+    batches: VecDeque<Vec<usize>>,
     /// Retired batch vectors, recycled by `insert_batch` so the steady
     /// state never allocates.
-    batch_pool: Vec<Vec<u32>>,
+    batch_pool: Vec<Vec<usize>>,
     /// Scratch for fully-pinned batches held aside during eviction.
-    held: Vec<Vec<u32>>,
-    /// LRU clock: id -> last-touch tick.
-    last_used: HashMap<u32, u64>,
+    held: Vec<Vec<usize>>,
+    /// LRU clock: id -> last-touch tick (kept under `Lru` only).
+    last_used: HashMap<usize, u64>,
     tick: u64,
     policy: ReplacementPolicy,
     stats: BufferStats,
+    // Reused `fill` scratch: the misses and the launch's output block.
+    // Once grown to working-set size, steady-state fills perform no heap
+    // allocation.
+    missing: Vec<usize>,
+    block: DenseMatrix,
     _device_mem: Option<DeviceAlloc>,
 }
 
@@ -94,27 +103,19 @@ impl KernelBuffer {
             capacity,
             storage: vec![0.0; capacity * width],
             slot_of: HashMap::with_capacity(capacity),
-            id_of: vec![u32::MAX; capacity],
+            id_of: vec![usize::MAX; capacity],
             free_slots: (0..capacity).rev().collect(),
             batches: VecDeque::new(),
             batch_pool: Vec::new(),
             held: Vec::new(),
-            last_used: HashMap::with_capacity(capacity),
+            last_used: HashMap::new(),
             tick: 0,
             policy,
             stats: BufferStats::default(),
+            missing: Vec::new(),
+            block: DenseMatrix::zeros(0, 0),
             _device_mem: device_mem,
         })
-    }
-
-    /// Row width in values.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Capacity in rows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Rows currently resident.
@@ -133,24 +134,54 @@ impl KernelBuffer {
     }
 
     /// Is the row for instance `id` resident (no stat/LRU side effects)?
-    pub fn contains(&self, id: u32) -> bool {
+    pub fn contains(&self, id: usize) -> bool {
         self.slot_of.contains_key(&id)
     }
 
     /// Look up the row for instance `id`, counting a hit or miss and
     /// touching the LRU clock.
-    pub fn get(&mut self, id: u32) -> Option<&[f64]> {
-        match self.slot_of.get(&id).copied() {
-            Some(slot) => {
-                self.stats.hits += 1;
-                self.tick += 1;
-                self.last_used.insert(id, self.tick);
-                Some(&self.storage[slot * self.width..(slot + 1) * self.width])
+    pub fn get(&mut self, id: usize) -> Option<&[f64]> {
+        let Some(&slot) = self.slot_of.get(&id) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.stamp(id);
+        Some(&self.storage[slot * self.width..(slot + 1) * self.width])
+    }
+
+    /// Record a use of `id` on the LRU clock; FIFO batches need no clock.
+    fn stamp(&mut self, id: usize) {
+        if self.policy == ReplacementPolicy::Lru {
+            self.tick += 1;
+            self.last_used.insert(id, self.tick);
+        }
+    }
+
+    /// Make the rows for `ids` resident ([`crate::KernelRows::ensure`]'s
+    /// contract). Per capacity-sized sub-batch: count hits and misses, pin
+    /// the sub-batch, insert its misses as one batch, call `launch(misses,
+    /// block)` once to compute them into a reused `misses x width` block,
+    /// and copy them into their slots.
+    pub fn fill(&mut self, ids: &[usize], mut launch: impl FnMut(&[usize], &mut DenseMatrix)) {
+        for chunk in ids.chunks(self.capacity) {
+            let mut missing = std::mem::take(&mut self.missing);
+            missing.clear();
+            missing.extend(chunk.iter().copied().filter(|&id| self.get(id).is_none()));
+            if !missing.is_empty() {
+                // Pin the whole sub-batch: making room must not evict rows
+                // the solver is about to use.
+                self.insert_batch(&missing, chunk);
+                // One batched launch for all missing rows (§3.3.1).
+                self.block.reset(missing.len(), self.width);
+                launch(&missing, &mut self.block);
+                for (bi, id) in missing.iter().enumerate() {
+                    let slot = self.slot_of[id];
+                    self.storage[slot * self.width..(slot + 1) * self.width]
+                        .copy_from_slice(self.block.row(bi));
+                }
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            self.missing = missing;
         }
     }
 
@@ -158,7 +189,7 @@ impl KernelBuffer {
     ///
     /// # Panics
     /// Panics if the row is not resident.
-    pub fn row(&self, id: u32) -> &[f64] {
+    pub fn row(&self, id: usize) -> &[f64] {
         let slot = *self
             .slot_of
             .get(&id)
@@ -171,7 +202,7 @@ impl KernelBuffer {
     ///
     /// # Panics
     /// Panics if the row is not resident.
-    pub fn row_mut(&mut self, id: u32) -> &mut [f64] {
+    pub fn row_mut(&mut self, id: usize) -> &mut [f64] {
         let slot = *self
             .slot_of
             .get(&id)
@@ -190,7 +221,7 @@ impl KernelBuffer {
     /// # Panics
     /// Panics if `ids.len()` plus the number of pinned resident rows
     /// exceeds capacity, or if any id in `ids` is already resident.
-    pub fn insert_batch(&mut self, ids: &[u32], pinned: &[u32]) {
+    pub fn insert_batch(&mut self, ids: &[usize], pinned: &[usize]) {
         assert!(
             ids.len() <= self.capacity,
             "batch of {} exceeds buffer capacity {}",
@@ -215,8 +246,7 @@ impl KernelBuffer {
             let slot = self.free_slots.pop().expect("free slot");
             self.slot_of.insert(id, slot);
             self.id_of[slot] = id;
-            self.tick += 1;
-            self.last_used.insert(id, self.tick);
+            self.stamp(id);
             self.stats.insertions += 1;
         }
         let mut batch = self.batch_pool.pop().unwrap_or_default();
@@ -249,14 +279,14 @@ impl KernelBuffer {
             for &slot in &self.free_slots {
                 assert_eq!(
                     self.id_of[slot],
-                    u32::MAX,
+                    usize::MAX,
                     "free slot {slot} still claims a row id"
                 );
             }
         });
     }
 
-    fn evict_some(&mut self, pinned: &[u32]) {
+    fn evict_some(&mut self, pinned: &[usize]) {
         match self.policy {
             ReplacementPolicy::FifoBatch => {
                 // Pop oldest batches, evicting their still-resident unpinned
@@ -308,9 +338,9 @@ impl KernelBuffer {
         }
     }
 
-    fn evict_row(&mut self, id: u32) {
+    fn evict_row(&mut self, id: usize) {
         if let Some(slot) = self.slot_of.remove(&id) {
-            self.id_of[slot] = u32::MAX;
+            self.id_of[slot] = usize::MAX;
             self.free_slots.push(slot);
             self.last_used.remove(&id);
             self.stats.evictions += 1;
@@ -325,7 +355,7 @@ impl KernelBuffer {
             batch.clear();
             self.batch_pool.push(batch);
         }
-        self.id_of.fill(u32::MAX);
+        self.id_of.fill(usize::MAX);
         self.free_slots.clear();
         self.free_slots.extend((0..self.capacity).rev());
         self.audit_accounting();
@@ -341,7 +371,7 @@ mod tests {
         KernelBuffer::new(cap, 4, policy, None).unwrap()
     }
 
-    fn fill(b: &mut KernelBuffer, id: u32, v: f64) {
+    fn fill(b: &mut KernelBuffer, id: usize, v: f64) {
         b.row_mut(id).fill(v);
     }
 

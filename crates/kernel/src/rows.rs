@@ -3,7 +3,6 @@
 use crate::buffer::{KernelBuffer, ReplacementPolicy};
 use crate::oracle::KernelOracle;
 use gmp_gpusim::{Device, DeviceError, Executor};
-use gmp_sparse::DenseMatrix;
 use std::sync::Arc;
 
 /// Telemetry of a row provider.
@@ -53,20 +52,14 @@ pub trait KernelRows {
 }
 
 /// Row provider backed by a [`KernelOracle`] and a [`KernelBuffer`] — the
-/// binary-SVM-level structure used by GMP-SVM (FIFO batch replacement) and
-/// by the LibSVM-like baseline (LRU, modelling LibSVM's kernel cache).
+/// per-problem structure of the classic paths (LRU, modelling LibSVM's
+/// kernel cache) and of the per-problem batched solver. Missing rows are
+/// launched on the oracle through [`KernelBuffer::fill`].
 pub struct BufferedRows {
     oracle: Arc<KernelOracle>,
     buffer: KernelBuffer,
     evals_base: u64,
     rows_computed: u64,
-    // Reused per-`ensure` scratch: miss lists, the pinned set, and the
-    // batched-launch output block. Once grown to working-set size, the
-    // steady-state ensure path performs no heap allocation.
-    missing: Vec<u32>,
-    pinned: Vec<u32>,
-    miss_ids: Vec<usize>,
-    block: DenseMatrix,
 }
 
 impl BufferedRows {
@@ -86,53 +79,12 @@ impl BufferedRows {
             buffer,
             evals_base,
             rows_computed: 0,
-            missing: Vec::new(),
-            pinned: Vec::new(),
-            miss_ids: Vec::new(),
-            block: DenseMatrix::zeros(0, 0),
         })
     }
 
     /// The underlying oracle.
     pub fn oracle(&self) -> &Arc<KernelOracle> {
         &self.oracle
-    }
-
-    /// The buffer capacity in rows.
-    pub fn capacity(&self) -> usize {
-        self.buffer.capacity()
-    }
-
-    /// One capacity-bounded sub-batch of [`KernelRows::ensure`].
-    fn ensure_batch(&mut self, exec: &dyn Executor, ids: &[usize]) {
-        debug_assert!(ids.len() <= self.buffer.capacity());
-        // Classify hits/misses (counting stats through the buffer).
-        self.missing.clear();
-        for &id in ids {
-            if self.buffer.get(id as u32).is_none() {
-                self.missing.push(id as u32);
-            }
-        }
-        if self.missing.is_empty() {
-            return;
-        }
-        // Pin the whole requested set: evictions to make room must not
-        // invalidate rows the solver is about to use.
-        self.pinned.clear();
-        self.pinned.extend(ids.iter().map(|&i| i as u32));
-        self.buffer.insert_batch(&self.missing, &self.pinned);
-        // One batched launch for all missing rows (§3.3.1).
-        self.miss_ids.clear();
-        self.miss_ids
-            .extend(self.missing.iter().map(|&m| m as usize));
-        let n = self.oracle.n();
-        self.block.reset(self.miss_ids.len(), n);
-        self.oracle
-            .compute_rows(exec, &self.miss_ids, &mut self.block);
-        for (bi, &id) in self.missing.iter().enumerate() {
-            self.buffer.row_mut(id).copy_from_slice(self.block.row(bi));
-        }
-        self.rows_computed += self.missing.len() as u64;
     }
 }
 
@@ -146,26 +98,18 @@ impl KernelRows for BufferedRows {
     }
 
     fn ensure(&mut self, exec: &dyn Executor, ids: &[usize]) {
-        let cap = self.buffer.capacity();
-        if ids.len() <= cap {
-            self.ensure_batch(exec, ids);
-            return;
-        }
-        // Graceful degradation (working set wider than the buffer): split
-        // into capacity-sized sub-batches. Each sub-batch pins only itself,
-        // so later sub-batches may evict earlier ones — callers needing
-        // simultaneous residency must request at most `capacity` rows.
-        for chunk in ids.chunks(cap) {
-            self.ensure_batch(exec, chunk);
-        }
+        self.buffer.fill(ids, |miss_ids, block| {
+            self.oracle.compute_rows(exec, miss_ids, block);
+            self.rows_computed += miss_ids.len() as u64;
+        });
     }
 
     fn row(&self, id: usize) -> &[f64] {
-        self.buffer.row(id as u32)
+        self.buffer.row(id)
     }
 
     fn is_resident(&self, id: usize) -> bool {
-        self.buffer.contains(id as u32)
+        self.buffer.contains(id)
     }
 
     fn stats(&self) -> RowProviderStats {

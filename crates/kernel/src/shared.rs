@@ -10,7 +10,9 @@
 //!
 //! [`SharedKernelStore`] owns the segments (device-memory accounted, FIFO
 //! eviction); [`SharedRows`] is the per-problem [`KernelRows`] view that
-//! assembles `(s, t)` rows from segments.
+//! assembles `(s, t)` rows from segments. Like every working-set row, an
+//! assembled row lives in the problem's §3.3.1 FIFO-batch [`KernelBuffer`];
+//! the store is where that buffer's misses come from.
 //!
 //! # Concurrency
 //!
@@ -26,9 +28,10 @@
 //!
 //! Lock ordering: the eviction bookkeeping lock is always acquired
 //! *before* any shard lock, and no thread ever takes the eviction lock
-//! while holding a shard lock — so the pair cannot deadlock. A thread that
-//! panics while owning a `Pending` marker would strand its waiters, but
-//! every compute path runs under a scope that propagates worker panics.
+//! while holding a shard lock — so the pair cannot deadlock. An owner whose
+//! launch panics removes its `Pending` markers and wakes their waiters
+//! before the panic propagates; the waiters then compute those segments
+//! themselves, so a panicking owner never strands another thread.
 //!
 //! Locks and condvars go through the `gmp-sync` shim, so under
 //! `--features loom` the single-flight protocol is exhaustively
@@ -37,6 +40,7 @@
 //! at quiescence, and keeping them outside the model keeps the explored
 //! state space focused on the lock/condvar protocol.
 
+use crate::buffer::{KernelBuffer, ReplacementPolicy};
 use crate::oracle::KernelOracle;
 use crate::rows::{KernelRows, RowProviderStats};
 use gmp_gpusim::{Device, DeviceAlloc, DeviceError, Executor};
@@ -242,8 +246,8 @@ impl SharedKernelStore {
         assert!(out.nrows() >= global_ids.len(), "output too small");
         assert_eq!(out.ncols(), ns + nt);
         let mut outcome = FetchOutcome::default();
-        for (cls, col_off, width) in [(s as u16, 0usize, ns), (t as u16, ns, nt)] {
-            self.fetch_class_segments(exec, global_ids, cls, col_off, width, out, &mut outcome);
+        for (cls, col_off) in [(s, 0), (t, ns)] {
+            self.fetch_class_segments(exec, global_ids, cls, col_off, out, &mut outcome);
         }
         outcome
     }
@@ -252,24 +256,33 @@ impl SharedKernelStore {
     /// requested segment as ready / pending-elsewhere / ours-to-compute,
     /// batch-compute the owned misses, publish them, then wait out the
     /// pending ones.
-    #[allow(clippy::too_many_arguments)]
     fn fetch_class_segments(
         &self,
         exec: &dyn Executor,
         global_ids: &[usize],
-        cls: u16,
+        cls: usize,
         col_off: usize,
-        width: usize,
         out: &mut DenseMatrix,
         outcome: &mut FetchOutcome,
     ) {
+        let range = self.layout.class_range(cls);
+        let (width, cls) = (range.len(), cls as u16);
+        let cols = col_off..col_off + width;
         let seg_bytes = (width * std::mem::size_of::<f64>()) as u64;
         // A segment wider than the whole budget is served uncached (and,
         // degenerately, without single-flight — there is nothing to share).
         let cacheable = width > 0 && seg_bytes <= self.capacity_bytes;
-        let range = self.layout.class_range(cls as usize);
+        let hit = |seg: &[f64], row: &mut [f64], outcome: &mut FetchOutcome| {
+            row[cols.clone()].copy_from_slice(seg);
+            self.stats.segment_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .evals_saved
+                .fetch_add(width as u64, Ordering::Relaxed);
+            outcome.hits += 1;
+        };
 
-        let mut to_compute: Vec<usize> = Vec::new(); // ri: we own the Pending marker
+        let mut to_compute: Vec<usize> = Vec::new(); // ri: no cached value to copy
+        let mut owned: Vec<(u32, u16)> = Vec::new(); // our Pending markers, in `to_compute` order
         let mut to_wait: Vec<usize> = Vec::new(); // ri: another thread is computing
         for (ri, &gid) in global_ids.iter().enumerate() {
             let key = (gid as u32, cls);
@@ -277,22 +290,17 @@ impl SharedKernelStore {
                 to_compute.push(ri);
                 continue;
             }
-            let (lock, _cv) = &self.shards[shard_of(key)];
-            let mut shard = lock.lock();
+            let mut shard = self.shards[shard_of(key)].0.lock();
             match shard.segs.get(&key) {
                 Some(SegState::Ready(seg)) => {
                     let seg = seg.clone();
                     drop(shard);
-                    out.row_mut(ri)[col_off..col_off + width].copy_from_slice(&seg);
-                    self.stats.segment_hits.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .evals_saved
-                        .fetch_add(width as u64, Ordering::Relaxed);
-                    outcome.hits += 1;
+                    hit(&seg, out.row_mut(ri), outcome);
                 }
                 Some(SegState::Pending) => to_wait.push(ri),
                 None => {
                     shard.segs.insert(key, SegState::Pending);
+                    owned.push(key);
                     to_compute.push(ri);
                 }
             }
@@ -300,49 +308,42 @@ impl SharedKernelStore {
 
         if !to_compute.is_empty() {
             let miss_ids: Vec<usize> = to_compute.iter().map(|&ri| global_ids[ri]).collect();
-            let mut block = DenseMatrix::zeros(miss_ids.len(), width);
-            // The backend's owner-attributed eval count is the slot
-            // ledger's ground truth (exactly `rows × width`, audited at
-            // the oracle boundary).
-            let evals = self
-                .oracle
-                .compute_rows_range(exec, &miss_ids, range.clone(), &mut block);
-            gmp_sync::audit!(assert_eq!(
-                evals,
-                (miss_ids.len() * width) as u64,
-                "shared-store block launch eval count out of step with ledger"
-            ));
-            self.stats
-                .segments_computed
-                .fetch_add(miss_ids.len() as u64, Ordering::Relaxed);
-            outcome.computed += miss_ids.len() as u64;
-            outcome.evals += evals;
-            for (bi, &ri) in to_compute.iter().enumerate() {
-                out.row_mut(ri)[col_off..col_off + width].copy_from_slice(block.row(bi));
-                if !cacheable {
-                    continue;
+            // Single-flight guard: if the launch panics, take our Pending
+            // markers back out and wake their waiters, who then compute
+            // those segments themselves instead of waiting forever. The
+            // cleanup runs once the unwind is caught, not in a destructor,
+            // so its locks and wakeups are ordinary ones.
+            let block = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.launch_segments(exec, &miss_ids, range.clone(), outcome)
+            }))
+            .unwrap_or_else(|payload| {
+                for &key in &owned {
+                    let (lock, cv) = &self.shards[shard_of(key)];
+                    lock.lock().segs.remove(&key);
+                    cv.notify_all();
                 }
-                let key = (global_ids[ri] as u32, cls);
-                let seg = Arc::new(block.row(bi).to_vec());
+                std::panic::resume_unwind(payload)
+            });
+            for (bi, &ri) in to_compute.iter().enumerate() {
+                out.row_mut(ri)[cols.clone()].copy_from_slice(block.row(bi));
+            }
+            for (bi, &key) in owned.iter().enumerate() {
                 // Publish first so waiters can proceed, then account the
                 // bytes; if the budget cannot fit it (everything evictable
                 // is protected), un-publish — waiters that already cloned
                 // the Arc are unaffected.
-                {
-                    let (lock, cv) = &self.shards[shard_of(key)];
-                    lock.lock().segs.insert(key, SegState::Ready(seg));
-                    cv.notify_all();
-                }
+                let seg = Arc::new(block.row(bi).to_vec());
+                let (lock, cv) = &self.shards[shard_of(key)];
+                lock.lock().segs.insert(key, SegState::Ready(seg));
+                cv.notify_all();
                 if !self.account_insert(key, seg_bytes, global_ids) {
-                    let (lock, _cv) = &self.shards[shard_of(key)];
                     lock.lock().segs.remove(&key);
                 }
             }
         }
 
         for &ri in &to_wait {
-            let gid = global_ids[ri];
-            let key = (gid as u32, cls);
+            let key = (global_ids[ri] as u32, cls);
             let (lock, cv) = &self.shards[shard_of(key)];
             let mut shard = lock.lock();
             loop {
@@ -350,37 +351,50 @@ impl SharedKernelStore {
                     Some(SegState::Ready(seg)) => {
                         let seg = seg.clone();
                         drop(shard);
-                        out.row_mut(ri)[col_off..col_off + width].copy_from_slice(&seg);
-                        self.stats.segment_hits.fetch_add(1, Ordering::Relaxed);
-                        self.stats
-                            .evals_saved
-                            .fetch_add(width as u64, Ordering::Relaxed);
-                        outcome.hits += 1;
+                        hit(&seg, out.row_mut(ri), outcome);
                         break;
                     }
                     Some(SegState::Pending) => cv.wait(&mut shard),
                     None => {
-                        // Published and already gone (un-published or
-                        // evicted before we woke): compute it ourselves,
-                        // uncached — rare, eviction-pressure-only path.
+                        // Gone before we woke (un-published, evicted, or
+                        // its owner's launch panicked): compute it
+                        // ourselves, uncached — a rare path.
                         drop(shard);
-                        let mut one = DenseMatrix::zeros(1, width);
-                        let evals =
-                            self.oracle
-                                .compute_rows_range(exec, &[gid], range.clone(), &mut one);
-                        gmp_sync::audit!(assert_eq!(
-                            evals, width as u64,
-                            "shared-store fallback launch eval count out of step with ledger"
-                        ));
-                        out.row_mut(ri)[col_off..col_off + width].copy_from_slice(one.row(0));
-                        self.stats.segments_computed.fetch_add(1, Ordering::Relaxed);
-                        outcome.computed += 1;
-                        outcome.evals += evals;
+                        let gid = [global_ids[ri]];
+                        let block = self.launch_segments(exec, &gid, range.clone(), outcome);
+                        out.row_mut(ri)[cols.clone()].copy_from_slice(block.row(0));
                         break;
                     }
                 }
             }
         }
+    }
+
+    /// Compute the class-`range` segments of global rows `ids` in one
+    /// batched launch charged to `exec`, counted as this call's work.
+    fn launch_segments(
+        &self,
+        exec: &dyn Executor,
+        ids: &[usize],
+        range: std::ops::Range<usize>,
+        outcome: &mut FetchOutcome,
+    ) -> DenseMatrix {
+        let mut block = DenseMatrix::zeros(ids.len(), range.len());
+        // The backend's owner-attributed eval count is the slot ledger's
+        // ground truth (exactly `rows × width`, audited at the oracle
+        // boundary).
+        let expected = (ids.len() * range.len()) as u64;
+        let evals = self.oracle.compute_rows_range(exec, ids, range, &mut block);
+        gmp_sync::audit!(assert_eq!(
+            evals, expected,
+            "shared-store launch eval count out of step with ledger"
+        ));
+        self.stats
+            .segments_computed
+            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+        outcome.computed += ids.len() as u64;
+        outcome.evals += evals;
+        block
     }
 
     /// Reserve `seg_bytes` for `key`, evicting FIFO (skipping segments of
@@ -419,18 +433,17 @@ impl SharedKernelStore {
             }
             let (lock, _cv) = &self.shards[shard_of(key)];
             let removed = lock.lock().segs.remove(&key);
-            match removed {
-                Some(SegState::Ready(seg)) => {
-                    ev.used_bytes -= (seg.len() * std::mem::size_of::<f64>()) as u64;
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                Some(SegState::Pending) => {
-                    // Never accounted; cannot be in the order queue — but
-                    // restore defensively and keep scanning.
-                    lock.lock().segs.insert(key, SegState::Pending);
-                }
-                None => {} // stale entry
+            // Only this function removes ordered keys, and un-publishing or
+            // a panicking owner removes only keys never ordered: a key in
+            // the FIFO is always resident and `Ready`.
+            gmp_sync::audit!(assert!(
+                matches!(removed, Some(SegState::Ready(_))),
+                "FIFO-ordered segment {key:?} is not a ready segment"
+            ));
+            if let Some(SegState::Ready(seg)) = removed {
+                ev.used_bytes -= (seg.len() * std::mem::size_of::<f64>()) as u64;
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                return true;
             }
         }
         false
@@ -440,69 +453,57 @@ impl SharedKernelStore {
 /// Per-problem [`KernelRows`] view over a [`SharedKernelStore`].
 ///
 /// Local indices `0..n_s` map to class `s`, `n_s..n_s+n_t` to class `t`.
-/// Assembled rows live in a host-side working-set cache (the device memory
-/// for the underlying values is accounted by the store — assembled rows are
-/// views in the real system, so they are not double-charged here). All
-/// per-`ensure` scratch (the global-id list and the assembly block) is
-/// retained between calls, so steady-state `ensure` stays off the
-/// allocator except for first-touch row storage (which is pooled from
-/// evicted rows).
+/// Assembled rows live in the problem's §3.3.1 [`KernelBuffer`] (FIFO
+/// batch replacement, filled through [`KernelBuffer::fill`]); its misses
+/// are fetched from the store as global rows. The buffer claims no device
+/// memory: the trainer claims each problem's working-set region itself.
 pub struct SharedRows {
     store: Arc<SharedKernelStore>,
     s: usize,
     t: usize,
-    ns: usize,
-    nt: usize,
-    ws_capacity: usize,
-    resident: HashMap<usize, Vec<f64>>,
-    order: VecDeque<usize>,
-    stats: RowProviderStats,
-    // Reused scratch: missing local ids, their global ids, assembly block,
-    // and storage vectors recycled from evicted rows.
-    missing: Vec<usize>,
+    /// Local index -> global grouped index.
+    global_of: Vec<usize>,
+    buffer: KernelBuffer,
+    kernel_evals: u64,
+    rows_computed: u64,
+    /// Reused global-id list of the misses being fetched.
     globals: Vec<usize>,
-    block: DenseMatrix,
-    row_pool: Vec<Vec<f64>>,
 }
 
 impl SharedRows {
-    /// A view of binary problem `(s, t)` whose working-set cache holds up
+    /// A view of binary problem `(s, t)` whose working-set buffer holds up
     /// to `ws_capacity` assembled rows.
     pub fn new(store: Arc<SharedKernelStore>, s: usize, t: usize, ws_capacity: usize) -> Self {
         assert!(s < t, "class pair must be ordered");
         assert!(t < store.layout().k(), "class out of range");
-        let ns = store.layout().class_size(s);
-        let nt = store.layout().class_size(t);
+        let layout = store.layout();
+        let global_of: Vec<usize> = layout.class_range(s).chain(layout.class_range(t)).collect();
+        let n = global_of.len();
+        let capacity = ws_capacity.max(2).min(n.max(1));
+        let buffer = KernelBuffer::new(capacity, n, ReplacementPolicy::FifoBatch, None)
+            // gmp:allow-panic — a buffer without a device claims no device memory
+            .expect("host-side working-set buffer needs no device memory");
         SharedRows {
             store,
             s,
             t,
-            ns,
-            nt,
-            ws_capacity: ws_capacity.max(2),
-            resident: HashMap::new(),
-            order: VecDeque::new(),
-            stats: RowProviderStats::default(),
-            missing: Vec::new(),
+            global_of,
+            buffer,
+            kernel_evals: 0,
+            rows_computed: 0,
             globals: Vec::new(),
-            block: DenseMatrix::zeros(0, 0),
-            row_pool: Vec::new(),
         }
     }
 
     /// Map a local problem index to the global grouped index.
     pub fn to_global(&self, local: usize) -> usize {
-        if local < self.ns {
-            self.store.layout().class_range(self.s).start + local
-        } else {
-            self.store.layout().class_range(self.t).start + (local - self.ns)
-        }
+        self.global_of[local]
     }
 }
 
 impl KernelRows for SharedRows {
     fn n(&self) -> usize {
-        self.ns + self.nt
+        self.global_of.len()
     }
 
     fn diag(&self, i: usize) -> f64 {
@@ -510,83 +511,40 @@ impl KernelRows for SharedRows {
     }
 
     fn ensure(&mut self, exec: &dyn Executor, ids: &[usize]) {
-        assert!(
-            ids.len() <= self.ws_capacity,
-            "working set of {} exceeds capacity {}",
-            ids.len(),
-            self.ws_capacity
-        );
-        self.missing.clear();
-        self.missing.extend(
-            ids.iter()
-                .copied()
-                .filter(|i| !self.resident.contains_key(i)),
-        );
-        self.stats.buffer_hits += (ids.len() - self.missing.len()) as u64;
-        self.stats.buffer_misses += self.missing.len() as u64;
-        if self.missing.is_empty() {
-            return;
-        }
-        // Make room, FIFO, never evicting requested rows.
-        while self.resident.len() + self.missing.len() > self.ws_capacity {
-            let Some(victim) = self.order.pop_front() else {
-                break;
-            };
-            if ids.contains(&victim) {
-                self.order.push_back(victim);
-                continue;
-            }
-            if let Some(freed) = self.resident.remove(&victim) {
-                self.stats.evictions += 1;
-                self.row_pool.push(freed);
-            }
-        }
-        self.globals.clear();
-        let (s, t) = (self.s, self.t);
-        for &l in &self.missing {
-            // Inline to_global: `self` is partially borrowed here.
-            let g = if l < self.ns {
-                self.store.layout().class_range(s).start + l
-            } else {
-                self.store.layout().class_range(t).start + (l - self.ns)
-            };
-            self.globals.push(g);
-        }
-        let width = self.ns + self.nt;
-        self.block.reset(self.missing.len(), width);
-        let outcome = self
-            .store
-            .fetch_pair_rows(exec, &self.globals, s, t, &mut self.block);
-        self.stats.kernel_evals += outcome.evals;
-        // One computed class-segment = one batched-launch row. Counting
-        // segments (not assembled problem rows) keeps the statistic exact
-        // and additive across providers, so totals are identical no matter
-        // which thread's fetch ends up computing a racing segment.
-        self.stats.rows_computed += outcome.computed;
-        for (bi, &l) in self.missing.iter().enumerate() {
-            let mut storage = self.row_pool.pop().unwrap_or_default();
-            storage.clear();
-            storage.extend_from_slice(self.block.row(bi));
-            self.resident.insert(l, storage);
-            self.order.push_back(l);
-        }
+        self.buffer.fill(ids, |miss_ids, block| {
+            self.globals.clear();
+            self.globals
+                .extend(miss_ids.iter().map(|&l| self.global_of[l]));
+            let outcome = self
+                .store
+                .fetch_pair_rows(exec, &self.globals, self.s, self.t, block);
+            self.kernel_evals += outcome.evals;
+            // One computed class-segment = one batched-launch row. Counting
+            // segments (not assembled problem rows) keeps the statistic
+            // exact and additive across providers, so totals are identical
+            // no matter which thread's fetch ends up computing a racing
+            // segment.
+            self.rows_computed += outcome.computed;
+        });
     }
 
     fn row(&self, id: usize) -> &[f64] {
-        // gmp:allow-panic — documented `KernelRows::row` contract: callers
-        // must `ensure` the id first; a miss is a solver bug, not an input
-        // error (covered by the `row_panics_when_absent` test).
-        self.resident
-            .get(&id)
-            .unwrap_or_else(|| panic!("row {id} not resident in shared working set"))
+        self.buffer.row(id)
     }
 
     fn is_resident(&self, id: usize) -> bool {
-        self.resident.contains_key(&id)
+        self.buffer.contains(id)
     }
 
     fn stats(&self) -> RowProviderStats {
-        self.stats
+        let b = self.buffer.stats();
+        RowProviderStats {
+            kernel_evals: self.kernel_evals,
+            rows_computed: self.rows_computed,
+            buffer_hits: b.hits,
+            buffer_misses: b.misses,
+            evictions: b.evictions,
+        }
     }
 }
 
@@ -775,9 +733,15 @@ mod tests {
         let mut v = SharedRows::new(st, 0, 1, 2);
         let e = exec();
         v.ensure(&e, &[0, 1]);
-        v.ensure(&e, &[2]); // evicts 0 (oldest)
-        assert!(!v.is_resident(0));
-        assert!(v.is_resident(1) && v.is_resident(2));
+        v.ensure(&e, &[2]); // FIFO batch: evicts the whole batch {0, 1}
+        assert!(!v.is_resident(0) && !v.is_resident(1));
+        assert!(v.is_resident(2));
+        assert_eq!(v.stats().evictions, 2);
+        // A requested row is pinned: refilling [2, 3] keeps 2 and evicts
+        // nothing else, since 3 fits in the freed slot.
+        v.ensure(&e, &[2, 3]);
+        assert!(v.is_resident(2) && v.is_resident(3));
+        assert_eq!(v.stats().evictions, 2);
     }
 
     #[test]

@@ -20,20 +20,32 @@
 //!
 //! The second model starves the byte budget so the un-publish path (budget
 //! full of protected segments) and the waiter's recompute-uncached path
-//! are also explored.
+//! are also explored. The third makes the first launch panic: its owner
+//! must hand its `Pending` markers back so no waiter is stranded.
 #![cfg(feature = "loom")]
 
-use gmp_gpusim::CpuExecutor;
+use gmp_gpusim::{CpuExecutor, Executor};
 use gmp_kernel::shared::FetchOutcome;
-use gmp_kernel::{ClassLayout, KernelKind, KernelOracle, SharedKernelStore};
+use gmp_kernel::{
+    ClassLayout, ComputeBackend, ComputeBackendKind, KernelContext, KernelKind, KernelOracle,
+    SharedKernelStore,
+};
 use gmp_sparse::{CsrMatrix, DenseMatrix};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Two instances, one per class: x0 = (1,0) in class 0, x1 = (0,1) in
 /// class 1. RBF(γ=1): K(i,i) = 1, K(0,1) = exp(-2).
 fn tiny_store(capacity_bytes: u64) -> Arc<SharedKernelStore> {
+    tiny_store_on(capacity_bytes, ComputeBackendKind::from_env().instance())
+}
+
+fn tiny_store_on(capacity_bytes: u64, backend: Arc<dyn ComputeBackend>) -> Arc<SharedKernelStore> {
     let data = Arc::new(CsrMatrix::from_dense(&[vec![1.0, 0.0], vec![0.0, 1.0]], 2));
-    let oracle = Arc::new(KernelOracle::new(data, KernelKind::Rbf { gamma: 1.0 }));
+    let oracle =
+        Arc::new(KernelOracle::new(data, KernelKind::Rbf { gamma: 1.0 }).with_backend(backend));
     Arc::new(
         SharedKernelStore::new(
             oracle,
@@ -135,5 +147,70 @@ fn eviction_pressure_keeps_accounting_exact() {
         assert_eq!(stats.segment_hits, hits);
         // The budget is never exceeded.
         assert!(st.used_bytes() <= 8);
+    });
+}
+
+/// A backend whose first kernel-row launch panics; later launches run on
+/// the default backend. The panic goes through `resume_unwind`, which skips
+/// the hook the model uses to fail a schedule on any panic: this one is the
+/// scenario under test, not a bug.
+struct FailFirstLaunch(AtomicBool, Arc<dyn ComputeBackend>);
+
+impl ComputeBackend for FailFirstLaunch {
+    fn name(&self) -> &'static str {
+        "fail-first-launch"
+    }
+
+    fn batch_kernel_rows(
+        &self,
+        ctx: &KernelContext<'_>,
+        exec: &dyn Executor,
+        row_ids: &[usize],
+        cols: Range<usize>,
+        out: &mut DenseMatrix,
+    ) -> u64 {
+        if !self.0.swap(true, Ordering::SeqCst) {
+            std::panic::resume_unwind(Box::new("injected launch failure"));
+        }
+        self.1.batch_kernel_rows(ctx, exec, row_ids, cols, out)
+    }
+
+    fn test_sv_matrix(
+        &self,
+        ctx: &KernelContext<'_>,
+        exec: &dyn Executor,
+        test: &CsrMatrix,
+        rows: &[usize],
+        norms: &[f64],
+        out: &mut DenseMatrix,
+    ) -> u64 {
+        self.1.test_sv_matrix(ctx, exec, test, rows, norms, out)
+    }
+}
+
+#[test]
+fn panicking_owner_never_strands_a_waiter() {
+    loom::model(|| {
+        let inner = ComputeBackendKind::from_env().instance();
+        let st = tiny_store_on(
+            1 << 10,
+            Arc::new(FailFirstLaunch(AtomicBool::new(false), inner)),
+        );
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let st = Arc::clone(&st);
+                loom::thread::spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| fetch_and_check(&st))).is_ok()
+                })
+            })
+            .collect();
+        let finished: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // The panicking launch's owner caught it; the other fetch got the
+        // direct kernel values (checked in `fetch_and_check`), by a hit or
+        // by computing a segment it had been waiting for.
+        assert_eq!(finished.iter().filter(|&&ok| ok).count(), 1);
+        // No `Pending` marker outlived the panic: a stranded one would block
+        // this fetch forever, which the model reports as a deadlock.
+        fetch_and_check(&st);
     });
 }

@@ -8,19 +8,19 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 enum Op {
     /// Insert a batch of fresh ids (deduplicated, not resident).
-    InsertBatch(Vec<u32>),
+    InsertBatch(Vec<usize>),
     /// Look up an id.
-    Get(u32),
+    Get(usize),
     /// Fill a resident row with a marker value.
-    Fill(u32, f64),
+    Fill(usize, f64),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            proptest::collection::vec(0u32..40, 1..4).prop_map(Op::InsertBatch),
-            (0u32..40).prop_map(Op::Get),
-            (0u32..40, -5.0..5.0f64).prop_map(|(i, v)| Op::Fill(i, v)),
+            proptest::collection::vec(0usize..40, 1..4).prop_map(Op::InsertBatch),
+            (0usize..40).prop_map(Op::Get),
+            (0usize..40, -5.0..5.0f64).prop_map(|(i, v)| Op::Fill(i, v)),
         ],
         1..40,
     )
@@ -36,7 +36,7 @@ proptest! {
         let policy = if fifo { ReplacementPolicy::FifoBatch } else { ReplacementPolicy::Lru };
         let mut buf = KernelBuffer::new(capacity, width, policy, None).unwrap();
         // Reference: resident id -> filled value (None = uninitialized).
-        let mut model: HashMap<u32, Option<f64>> = HashMap::new();
+        let mut model: HashMap<usize, Option<f64>> = HashMap::new();
 
         for op in ops {
             match op {
@@ -83,8 +83,8 @@ proptest! {
 
     #[test]
     fn pinned_rows_survive_any_pressure(
-        pin in proptest::collection::vec(0u32..20, 1..4),
-        churn in proptest::collection::vec(20u32..200, 4..30),
+        pin in proptest::collection::vec(0usize..20, 1..4),
+        churn in proptest::collection::vec(20usize..200, 4..30),
     ) {
         let mut pin = pin;
         pin.sort_unstable();
@@ -104,7 +104,7 @@ proptest! {
     }
 
     #[test]
-    fn stats_accounting_is_consistent(gets in proptest::collection::vec(0u32..16, 1..50)) {
+    fn stats_accounting_is_consistent(gets in proptest::collection::vec(0usize..16, 1..50)) {
         let mut buf = KernelBuffer::new(4, 2, ReplacementPolicy::Lru, None).unwrap();
         buf.insert_batch(&[0, 1, 2, 3], &[]);
         let mut hits = 0u64;

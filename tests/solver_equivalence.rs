@@ -7,6 +7,7 @@ use gmp_gpusim::CpuExecutor;
 use gmp_kernel::{BufferedRows, KernelKind, KernelOracle, ReplacementPolicy};
 use gmp_smo::{BatchedParams, BatchedSmoSolver, ClassicSmoSolver, SmoParams, SolverResult};
 use gmp_svm::{Backend, MpSvmTrainer, SvmParams};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn exec() -> CpuExecutor {
@@ -211,4 +212,37 @@ fn batched_solver_insensitive_to_buffer_policy() {
         results[0].objective,
         results[1].objective
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// With the buffer exactly as wide as the working set, each round's
+    /// request pins its whole working set, so the only evictable rows are
+    /// the ones the solver's own FIFO refresh just dropped: FIFO batch and
+    /// LRU must give the same bits and the same counters.
+    #[test]
+    fn batched_solver_bitwise_policy_free_at_working_set_capacity(
+        x in proptest::collection::vec(proptest::collection::vec(-1.0..1.0f64, 2), 12..40),
+        signs in proptest::collection::vec(proptest::bool::ANY, 40),
+        c in 0.5..8.0f64,
+        gamma in 0.2..2.0f64,
+    ) {
+        let mut y: Vec<f64> =
+            signs[..x.len()].iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
+        (y[0], y[x.len() - 1]) = (1.0, -1.0);
+        let data = Arc::new(gmp_sparse::CsrMatrix::from_dense(&x, 2));
+        let oracle = Arc::new(KernelOracle::new(data, KernelKind::Rbf { gamma }));
+        let base = SmoParams::with_c(c);
+        let params = BatchedParams { base, ws_size: 8, q: 4, inner_relax: 0.1, max_inner: 64 };
+        let [fifo, lru] = [ReplacementPolicy::FifoBatch, ReplacementPolicy::Lru].map(|policy| {
+            let mut rows = BufferedRows::new(oracle.clone(), 8, policy, None).unwrap();
+            BatchedSmoSolver::new(params).solve(&y, &mut rows, &exec())
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fifo.alpha), bits(&lru.alpha));
+        prop_assert_eq!(bits(&fifo.f), bits(&lru.f));
+        prop_assert_eq!(fifo.rho.to_bits(), lru.rho.to_bits());
+        prop_assert_eq!(fifo.telemetry.rows, lru.telemetry.rows);
+    }
 }
