@@ -1,6 +1,7 @@
 //! A row provider without cross-call reuse: every `ensure` recomputes all
 //! requested rows. Models comparators whose caching strategy does not
-//! carry kernel rows across working-set rounds.
+//! carry kernel rows across working-set rounds. The block and the residency
+//! map are kept across calls, so only a larger request allocates.
 
 use gmp_gpusim::Executor;
 use gmp_kernel::{KernelOracle, KernelRows, RowProviderStats};
@@ -23,9 +24,9 @@ impl UncachedRows {
     pub fn new(oracle: Arc<KernelOracle>) -> Self {
         let evals_base = oracle.eval_count();
         UncachedRows {
+            block: DenseMatrix::zeros(0, oracle.n()),
             oracle,
             resident: HashMap::new(),
-            block: DenseMatrix::zeros(0, 0),
             evals_base,
             rows_computed: 0,
             misses: 0,
@@ -43,9 +44,11 @@ impl KernelRows for UncachedRows {
     }
 
     fn ensure(&mut self, exec: &dyn Executor, ids: &[usize]) {
-        self.resident.clear();
-        self.block = DenseMatrix::zeros(ids.len(), self.n());
+        if ids.len() > self.block.nrows() {
+            self.block = DenseMatrix::zeros(ids.len(), self.n());
+        }
         self.oracle.compute_rows(exec, ids, &mut self.block);
+        self.resident.clear();
         for (slot, &id) in ids.iter().enumerate() {
             self.resident.insert(id, slot);
         }
@@ -114,6 +117,22 @@ mod tests {
         assert!(p.is_resident(2));
         assert!(!p.is_resident(0));
         assert_eq!(p.row(2), &[1.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn block_grows_only_for_a_larger_request() {
+        let mut p = provider();
+        let e = exec();
+        p.ensure(&e, &[0, 1]);
+        let grown = p.block.as_slice().as_ptr();
+        p.ensure(&e, &[2]);
+        assert_eq!(p.block.as_slice().as_ptr(), grown);
+        assert_eq!(p.row(2), &[1.0, 1.0, 2.0]);
+        assert!(!p.is_resident(0));
+        p.ensure(&e, &[1, 0]);
+        assert_eq!(p.row(0), &[1.0, 0.0, 1.0]);
+        assert_eq!(p.row(1), &[0.0, 1.0, 1.0]);
+        assert_eq!(p.stats().rows_computed, 5);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 
 use gmp_datasets::{Dataset, PaperDataset, SplitDataset};
 use gmp_svm::predict::error_rate;
-use gmp_svm::{Backend, MpSvmTrainer, SvmParams};
+use gmp_svm::{Backend, MpSvmTrainer, PreparedPredictor, SvmParams};
+use std::sync::Arc;
 
 /// One (dataset, backend) measurement: the unit of Table 3.
 #[derive(Debug, Clone)]
@@ -136,14 +137,14 @@ pub fn measure_on_with_threads(
         .train(&split.train)
         // gmp:allow-panic — bench harness fails fast on setup errors
         .expect("training failed");
-    let train_pred = outcome
-        .model
-        .predict_with_compute_backend(&split.train.x, backend, compute)
+    let predictor =
+        PreparedPredictor::new(Arc::new(outcome.model), backend.clone()).compute_backend(compute);
+    let train_pred = predictor
+        .predict(&split.train.x)
         // gmp:allow-panic — bench harness fails fast on setup errors
         .expect("train prediction failed");
-    let test_pred = outcome
-        .model
-        .predict_with_compute_backend(&split.test.x, backend, compute)
+    let test_pred = predictor
+        .predict(&split.test.x)
         // gmp:allow-panic — bench harness fails fast on setup errors
         .expect("test prediction failed");
     Measurement {
@@ -160,7 +161,7 @@ pub fn measure_on_with_threads(
         host_threads: outcome.report.host_threads,
         train_error: error_rate(&train_pred.labels, &split.train.y),
         test_error: error_rate(&test_pred.labels, &split.test.y),
-        bias: outcome.model.last_bias(),
+        bias: predictor.model().last_bias(),
         converged: outcome.report.all_converged(),
     }
 }

@@ -15,10 +15,11 @@
 use gmp_cli::parse_args;
 use gmp_datasets::{Dataset, LibsvmStreamParser};
 use gmp_svm::predict::error_rate;
-use gmp_svm::MpSvmModel;
+use gmp_svm::{MpSvmModel, PreparedPredictor};
 use std::fmt::Write as _;
 use std::io::BufRead;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 /// Stream the test file through the incremental LibSVM parser instead of
 /// slurping it into one string — large test sets never hold text + matrix
@@ -83,11 +84,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let pred = match model.predict_with_compute_backend(
-        &data.x,
-        &opts.backend,
-        opts.params.compute_backend,
-    ) {
+    let predictor = PreparedPredictor::new(Arc::new(model), opts.backend)
+        .compute_backend(opts.params.compute_backend);
+    let pred = match predictor.predict(&data.x) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("gmp-predict: prediction failed: {e}");

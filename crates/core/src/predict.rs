@@ -30,7 +30,9 @@ pub struct PredictOutcome {
 
 impl MpSvmModel {
     /// Predict labels (and probabilities, when the model has sigmoids) for
-    /// every row of `test`.
+    /// every row of `test`, on the default host threads and compute
+    /// backend. For other settings, or to score many batches with one
+    /// model, use [`PreparedPredictor`]: both run the same code.
     ///
     /// Backend selects the execution/cost model **and** the sharing
     /// strategy: GMP-SVM and CMP-SVM compute the test-by-SV kernel block
@@ -42,62 +44,115 @@ impl MpSvmModel {
         test: &CsrMatrix,
         backend: &Backend,
     ) -> Result<PredictOutcome, TrainError> {
-        self.predict_with_threads(test, backend, None)
-    }
-
-    /// [`MpSvmModel::predict`] on an explicit compute backend (instead of
-    /// the `GMP_BACKEND` selection).
-    pub fn predict_with_compute_backend(
-        &self,
-        test: &CsrMatrix,
-        backend: &Backend,
-        compute: ComputeBackendKind,
-    ) -> Result<PredictOutcome, TrainError> {
-        self.predict_inner(test, backend, resolve_host_threads_opt(None), None, compute)
-    }
-
-    /// [`MpSvmModel::predict`] with an explicit real host-thread count for
-    /// the numeric work (kernel blocks, decision accumulation, sigmoids,
-    /// coupling). `None` = auto (`GMP_HOST_THREADS` env var, else available
-    /// parallelism). An explicit value is honoured verbatim, so the
-    /// multi-threaded path can be exercised on any machine.
-    pub fn predict_with_threads(
-        &self,
-        test: &CsrMatrix,
-        backend: &Backend,
-        host_threads: Option<usize>,
-    ) -> Result<PredictOutcome, TrainError> {
-        self.predict_inner(
-            test,
-            backend,
-            resolve_host_threads_opt(host_threads),
-            None,
-            ComputeBackendKind::from_env(),
-        )
-    }
-
-    fn predict_inner(
-        &self,
-        test: &CsrMatrix,
-        backend: &Backend,
-        ht: usize,
-        prepared_oracle: Option<&KernelOracle>,
-        compute: ComputeBackendKind,
-    ) -> Result<PredictOutcome, TrainError> {
         let wall = Instant::now();
+        ScoringPlan::new(self, backend.clone()).predict(self, test, wall)
+    }
+}
+
+/// The one prediction path: one prepared [`KernelOracle`] per scoring
+/// group, plus the settings every call scores with.
+struct ScoringPlan {
+    backend: Backend,
+    compute: ComputeBackendKind,
+    host_threads: usize,
+    /// The sharing backends (GMP, CMP-SVM) have one group over the whole SV
+    /// pool; the unshared ones (LibSVM, GPU baseline) one per binary with
+    /// support vectors. Empty when the pool is.
+    groups: Vec<ScoringGroup>,
+}
+
+struct ScoringGroup {
+    oracle: KernelOracle,
+    /// `None`: the whole SV pool, every binary gathering its own columns.
+    /// `Some(bi)`: binary `bi` alone, whose SV list is the oracle's rows.
+    binary: Option<usize>,
+}
+
+impl ScoringPlan {
+    /// Prepare `model`'s groups for `backend`, on the default host threads
+    /// (`GMP_HOST_THREADS`, else available parallelism) and compute backend
+    /// (`GMP_BACKEND`, else scalar).
+    fn new(model: &MpSvmModel, backend: Backend) -> Self {
+        let host_threads = resolve_host_threads_opt(None);
+        let compute = ComputeBackendKind::from_env();
+        let prepare = |svs: CsrMatrix, binary: Option<usize>| {
+            let oracle = KernelOracle::new(Arc::new(svs), model.kernel)
+                .with_host_threads(host_threads)
+                .with_backend(compute.instance());
+            // Build the column view now, so no scoring call pays for it.
+            oracle.data().columns();
+            ScoringGroup { oracle, binary }
+        };
+        let groups = if model.sv_pool.nrows() == 0 {
+            Vec::new()
+        } else if matches!(backend, Backend::Gmp { .. } | Backend::CpuBatched { .. }) {
+            vec![prepare(model.sv_pool.clone(), None)]
+        } else {
+            model
+                .binaries
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| !b.sv_idx.is_empty())
+                .map(|(bi, b)| {
+                    let rows: Vec<usize> = b.sv_idx.iter().map(|&i| i as usize).collect();
+                    prepare(model.sv_pool.select_rows(&rows), Some(bi))
+                })
+                .collect()
+        };
+        ScoringPlan {
+            backend,
+            compute,
+            host_threads,
+            groups,
+        }
+    }
+
+    /// The same groups, scoring on `host_threads` real threads and the
+    /// `compute` backend.
+    fn configure(mut self, host_threads: usize, compute: ComputeBackendKind) -> Self {
+        self.groups = std::mem::take(&mut self.groups)
+            .into_iter()
+            .map(|g| ScoringGroup {
+                oracle: g
+                    .oracle
+                    .with_host_threads(host_threads)
+                    .with_backend(compute.instance()),
+                ..g
+            })
+            .collect();
+        ScoringPlan {
+            host_threads,
+            compute,
+            ..self
+        }
+    }
+
+    /// Score `test`; the report's wall time runs from `wall`.
+    fn predict(
+        &self,
+        model: &MpSvmModel,
+        test: &CsrMatrix,
+        wall: Instant,
+    ) -> Result<PredictOutcome, TrainError> {
+        if test.ncols() != model.sv_pool.ncols() {
+            return Err(TrainError::DimensionMismatch {
+                model: model.sv_pool.ncols(),
+                test: test.ncols(),
+            });
+        }
         let m = test.nrows();
-        let k = self.classes;
-        let n_binaries = self.binaries.len();
-        let shared = matches!(backend, Backend::Gmp { .. } | Backend::CpuBatched { .. });
+        let k = model.classes;
+        let n_binaries = model.binaries.len();
+        let ht = self.host_threads;
 
         // Executor + optional device.
-        let device = match backend {
+        let device = match &self.backend {
             Backend::GpuBaseline { device } | Backend::Gmp { device, .. } => {
                 Some(Device::new(device.clone()))
             }
             _ => None,
         };
-        let exec: Box<dyn Executor> = match backend {
+        let exec: Box<dyn Executor> = match &self.backend {
             Backend::CpuClassic { threads } | Backend::CpuBatched { threads } => {
                 Box::new(CpuExecutor::xeon(*threads as u32))
             }
@@ -106,58 +161,21 @@ impl MpSvmModel {
         };
         let exec = &*exec;
 
-        let mut decision_values = vec![vec![0.0f64; n_binaries]; m];
-        let mut kernel_evals = 0u64;
+        // A binary no group scores (no support vectors) keeps `-rho`, with
+        // no launch: `0.0 - rho` would flip the sign bit at `rho = 0`.
+        let mut decision_values: Vec<Vec<f64>> =
+            vec![model.binaries.iter().map(|b| -b.rho).collect(); m];
         let sim_decision_start = exec.elapsed();
-
-        if m > 0 && self.sv_pool.nrows() > 0 {
-            // Squared norms of every test row, once for all chunks and all
-            // binary SVMs (the unshared path would otherwise recompute them
-            // per binary).
-            let test_norms = test.row_norms_sq();
-            if shared {
-                kernel_evals += match prepared_oracle {
-                    Some(oracle) => self.decisions_shared_with(
-                        test,
-                        &test_norms,
-                        exec,
-                        device.as_ref(),
-                        oracle,
-                        &mut decision_values,
-                    )?,
-                    None => self.decisions_shared(
-                        test,
-                        &test_norms,
-                        exec,
-                        device.as_ref(),
-                        ht,
-                        compute,
-                        &mut decision_values,
-                    )?,
-                };
-            } else {
-                kernel_evals += self.decisions_unshared(
-                    test,
-                    &test_norms,
-                    exec,
-                    device.as_ref(),
-                    ht,
-                    compute,
-                    &mut decision_values,
-                )?;
-            }
+        let kernel_evals = if m > 0 {
+            self.decide(model, test, exec, device.as_ref(), &mut decision_values)?
         } else {
-            for row in decision_values.iter_mut() {
-                for (b, v) in self.binaries.iter().zip(row.iter_mut()) {
-                    *v = -b.rho;
-                }
-            }
-        }
+            0
+        };
         let sim_decision_s = exec.elapsed() - sim_decision_start;
 
         // --- Sigmoids (Equation 12).
         let sim_sigmoid_start = exec.elapsed();
-        let has_prob = self.has_probability();
+        let has_prob = model.has_probability();
         let mut pairwise: Vec<PairwiseProbs> = Vec::new();
         if has_prob && m > 0 {
             // Per-instance sigmoid application is embarrassingly parallel;
@@ -165,7 +183,7 @@ impl MpSvmModel {
             pairwise = vec![PairwiseProbs::new(k.max(2)); m];
             for_each_chunk(ht, 1, &mut pairwise, |first, piece| {
                 for (dv, r) in decision_values[first..].iter().zip(piece) {
-                    for (bi, b) in self.binaries.iter().enumerate() {
+                    for (bi, b) in model.binaries.iter().enumerate() {
                         // gmp:allow-panic — guarded: has_probability() was checked by the caller of this path
                         let sig = b.sigmoid.as_ref().expect("has_probability checked");
                         r.set(b.s as usize, b.t as usize, sigmoid_predict(dv[bi], sig));
@@ -201,27 +219,27 @@ impl MpSvmModel {
                 .iter()
                 .map(|dv| {
                     let mut votes = vec![0u32; k.max(1)];
-                    for (bi, b) in self.binaries.iter().enumerate() {
+                    for (bi, b) in model.binaries.iter().enumerate() {
                         if dv[bi] > 0.0 {
                             votes[b.s as usize] += 1;
                         } else {
                             votes[b.t as usize] += 1;
                         }
                     }
-                    argmax_u32(&votes) as u32
+                    argmax(&votes) as u32
                 })
                 .collect()
         };
         let sim_coupling_s = exec.elapsed() - sim_coupling_start;
 
         let report = PredictReport {
-            backend: backend.label(),
-            compute_backend: compute.name().to_string(),
+            backend: self.backend.label(),
+            compute_backend: self.compute.name().to_string(),
             wall_s: wall.elapsed().as_secs_f64(),
             sim_s: exec.elapsed(),
             kernel_evals,
-            unique_svs: self.n_sv(),
-            total_sv_refs: self.total_sv_refs(),
+            unique_svs: model.n_sv(),
+            total_sv_refs: model.total_sv_refs(),
             sim_decision_s,
             sim_sigmoid_s,
             sim_coupling_s,
@@ -235,195 +253,119 @@ impl MpSvmModel {
         })
     }
 
-    /// Shared path: one `test x sv_pool` kernel block serves every binary.
-    #[allow(clippy::too_many_arguments)]
-    fn decisions_shared(
+    /// Decision values of every test row into `out`: for each group, the
+    /// SVs' device residency, then the test rows in chunks, one kernel
+    /// block and one fused scoring launch per chunk. Returns the kernel
+    /// values computed.
+    fn decide(
         &self,
+        model: &MpSvmModel,
         test: &CsrMatrix,
-        test_norms: &[f64],
         exec: &dyn Executor,
         device: Option<&Device>,
-        host_threads: usize,
-        compute: ComputeBackendKind,
         out: &mut [Vec<f64>],
     ) -> Result<u64, TrainError> {
-        let oracle = KernelOracle::new(Arc::new(self.sv_pool.clone()), self.kernel)
-            .with_host_threads(host_threads)
-            .with_backend(compute.instance());
-        self.decisions_shared_with(test, test_norms, exec, device, &oracle, out)
-    }
-
-    /// [`MpSvmModel::decisions_shared`] against a caller-held oracle over
-    /// the SV pool, so long-lived predictors ([`PreparedPredictor`]) pay
-    /// the pool clone, norms and column view once instead of per call.
-    /// Host threading rides on the oracle's backend configuration.
-    fn decisions_shared_with(
-        &self,
-        test: &CsrMatrix,
-        test_norms: &[f64],
-        exec: &dyn Executor,
-        device: Option<&Device>,
-        oracle: &KernelOracle,
-        out: &mut [Vec<f64>],
-    ) -> Result<u64, TrainError> {
-        let n_sv = self.sv_pool.nrows();
-        let evals_before = oracle.eval_count();
-        // Device residency: SV pool + one chunk of the kernel block.
-        let _sv_mem = match device {
-            Some(d) => {
-                let bytes = self.sv_pool.mem_bytes() as u64;
-                let a = d.alloc(bytes)?;
-                exec.charge_transfer(bytes);
-                Some(a)
-            }
-            None => None,
-        };
-        let scorers: Vec<RowScorer<'_>> = self
-            .binaries
-            .iter()
-            .enumerate()
-            .map(|(bi, b)| RowScorer {
-                out_col: bi,
-                sv_idx: Some(&b.sv_idx),
-                coef: &b.coef,
-                rho: b.rho,
-            })
-            .collect();
-        let chunk = chunk_rows(test.nrows(), n_sv, device);
-        let mut start = 0usize;
-        while start < test.nrows() {
-            let end = (start + chunk).min(test.nrows());
-            let rows: Vec<usize> = (start..end).collect();
-            let _block_mem = match device {
-                Some(d) => Some(d.alloc((rows.len() * n_sv * 8) as u64)?),
-                None => None,
-            };
-            let mut block = DenseMatrix::zeros(rows.len(), n_sv);
-            oracle.compute_cross_with_norms(exec, test, &rows, test_norms, &mut block);
-            // All binary SVMs score against the same block: one scorer per
-            // binary, one fused backend launch for the whole chunk.
-            oracle.score_rows(exec, &block, &scorers, &mut out[start..end]);
-            start = end;
-        }
-        Ok(oracle.eval_count() - evals_before)
-    }
-
-    /// Unshared path: each binary SVM scores against its own SV list.
-    #[allow(clippy::too_many_arguments)]
-    fn decisions_unshared(
-        &self,
-        test: &CsrMatrix,
-        test_norms: &[f64],
-        exec: &dyn Executor,
-        device: Option<&Device>,
-        host_threads: usize,
-        compute: ComputeBackendKind,
-        out: &mut [Vec<f64>],
-    ) -> Result<u64, TrainError> {
+        let m = test.nrows();
+        // Squared norms of every test row, once for all groups and chunks.
+        let test_norms = test.row_norms_sq();
         let mut evals = 0u64;
-        for (bi, b) in self.binaries.iter().enumerate() {
-            if b.sv_idx.is_empty() {
-                for row in out.iter_mut() {
-                    row[bi] = -b.rho;
-                }
-                continue;
-            }
-            let sv_rows: Vec<usize> = b.sv_idx.iter().map(|&i| i as usize).collect();
-            let svs = Arc::new(self.sv_pool.select_rows(&sv_rows));
+        for group in &self.groups {
+            let oracle = &group.oracle;
+            let n_sv = oracle.n();
+            // Device residency: the group's SVs + one chunk of the kernel block.
             let _sv_mem = match device {
                 Some(d) => {
-                    let bytes = svs.mem_bytes() as u64;
+                    let bytes = oracle.data().mem_bytes() as u64;
                     let a = d.alloc(bytes)?;
                     exec.charge_transfer(bytes);
                     Some(a)
                 }
                 None => None,
             };
-            let oracle = KernelOracle::new(svs, self.kernel)
-                .with_host_threads(host_threads)
-                .with_backend(compute.instance());
-            // This binary's block columns are exactly its SV list, in
-            // order: a dense-sweep scorer writing column `bi`.
-            let scorer = [RowScorer {
-                out_col: bi,
-                sv_idx: None,
-                coef: &b.coef,
-                rho: b.rho,
-            }];
-            let n_sv = sv_rows.len();
-            let chunk = chunk_rows(test.nrows(), n_sv, device);
+            let scorers: Vec<RowScorer<'_>> = match group.binary {
+                // Every binary scores against the same block: one fused
+                // backend launch per chunk for all of them.
+                None => model
+                    .binaries
+                    .iter()
+                    .enumerate()
+                    .map(|(bi, b)| RowScorer {
+                        out_col: bi,
+                        sv_idx: Some(&b.sv_idx),
+                        coef: &b.coef,
+                        rho: b.rho,
+                    })
+                    .collect(),
+                // The block's columns are exactly this binary's SV list, in
+                // order: a dense-sweep scorer writing column `bi`.
+                Some(bi) => vec![RowScorer {
+                    out_col: bi,
+                    sv_idx: None,
+                    coef: &model.binaries[bi].coef,
+                    rho: model.binaries[bi].rho,
+                }],
+            };
+            let chunk = chunk_rows(m, n_sv, device);
             let mut start = 0usize;
-            while start < test.nrows() {
-                let end = (start + chunk).min(test.nrows());
+            while start < m {
+                let end = (start + chunk).min(m);
                 let rows: Vec<usize> = (start..end).collect();
                 let _block_mem = match device {
                     Some(d) => Some(d.alloc((rows.len() * n_sv * 8) as u64)?),
                     None => None,
                 };
                 let mut block = DenseMatrix::zeros(rows.len(), n_sv);
-                oracle.compute_cross_with_norms(exec, test, &rows, test_norms, &mut block);
-                oracle.score_rows(exec, &block, &scorer, &mut out[start..end]);
+                evals +=
+                    oracle.compute_cross_with_norms(exec, test, &rows, &test_norms, &mut block);
+                oracle.score_rows(exec, &block, &scorers, &mut out[start..end]);
                 start = end;
             }
-            evals += oracle.eval_count();
         }
         Ok(evals)
     }
 }
 
-/// A model prepared for repeated (online) prediction.
+/// A model prepared for repeated (online) prediction, and the one builder
+/// for prediction settings.
 ///
-/// [`MpSvmModel::predict`] rebuilds per-call state the paper's batched
-/// prediction amortizes over one big test file: the SV-pool copy handed to
-/// the kernel oracle, the pool's squared norms, the kernel diagonal, and
-/// the pool's column view ([`CsrMatrix::columns`]). A long-lived server
-/// scoring many small batches pays that setup on every call.
-/// `PreparedPredictor` hoists it to construction time and reuses it
-/// for every batch, while routing the actual scoring through the **same**
-/// shared code path as `predict` — so results are bit-identical to the
+/// [`MpSvmModel::predict`] prepares its scoring state on every call: the
+/// SV copies handed to the kernel oracles (the whole pool for the sharing
+/// backends, each binary's SV list for the unshared ones), their squared
+/// norms, kernel diagonals and column views ([`CsrMatrix::columns`]). A
+/// long-lived server scoring many small batches would pay that setup on
+/// every call. `PreparedPredictor` prepares it once and runs the **same**
+/// scoring code for every batch, so results are bit-identical to the
 /// offline API no matter how requests are batched.
 pub struct PreparedPredictor {
     model: Arc<MpSvmModel>,
-    backend: Backend,
-    compute: ComputeBackendKind,
-    host_threads: usize,
-    /// Persistent oracle over the shared SV pool (norms, diagonal and
-    /// column view precomputed). `None` for unshared backends, which score
-    /// per-binary SV lists and have no pool-wide state to reuse.
-    oracle: Option<KernelOracle>,
+    plan: ScoringPlan,
 }
 
 impl PreparedPredictor {
-    /// Prepare `model` for repeated prediction on `backend`.
-    /// `host_threads` as in [`MpSvmModel::predict_with_threads`].
-    pub fn new(model: Arc<MpSvmModel>, backend: Backend, host_threads: Option<usize>) -> Self {
-        Self::with_compute_backend(model, backend, host_threads, ComputeBackendKind::from_env())
+    /// Prepare `model` for repeated prediction on `backend`, on the default
+    /// host threads (`GMP_HOST_THREADS`, else available parallelism) and
+    /// compute backend (`GMP_BACKEND`, else scalar).
+    pub fn new(model: Arc<MpSvmModel>, backend: Backend) -> Self {
+        let plan = ScoringPlan::new(&model, backend);
+        PreparedPredictor { model, plan }
     }
 
-    /// [`PreparedPredictor::new`] on an explicit compute backend.
-    pub fn with_compute_backend(
-        model: Arc<MpSvmModel>,
-        backend: Backend,
-        host_threads: Option<usize>,
-        compute: ComputeBackendKind,
-    ) -> Self {
-        let ht = resolve_host_threads_opt(host_threads);
-        let shared = matches!(backend, Backend::Gmp { .. } | Backend::CpuBatched { .. });
-        let oracle = (shared && model.sv_pool.nrows() > 0).then(|| {
-            let oracle = KernelOracle::new(Arc::new(model.sv_pool.clone()), model.kernel)
-                .with_host_threads(ht)
-                .with_backend(compute.instance());
-            // Build the pool's column view now, so no request pays for it.
-            oracle.data().columns();
-            oracle
-        });
-        PreparedPredictor {
-            model,
-            backend,
-            compute,
-            host_threads: ht,
-            oracle,
-        }
+    /// Score on `threads` real host threads (`None` = the default). An
+    /// explicit value is honoured verbatim, so the multi-threaded path can
+    /// be exercised on any machine; results are bit-identical at any count.
+    pub fn host_threads(mut self, threads: Option<usize>) -> Self {
+        let compute = self.plan.compute;
+        self.plan = self
+            .plan
+            .configure(resolve_host_threads_opt(threads), compute);
+        self
+    }
+
+    /// Score on the `kind` compute backend.
+    pub fn compute_backend(mut self, kind: ComputeBackendKind) -> Self {
+        let threads = self.plan.host_threads;
+        self.plan = self.plan.configure(threads, kind);
+        self
     }
 
     /// The wrapped model.
@@ -433,29 +375,18 @@ impl PreparedPredictor {
 
     /// The backend every call scores on.
     pub fn backend(&self) -> &Backend {
-        &self.backend
-    }
-
-    /// Resolved host-thread count.
-    pub fn host_threads(&self) -> usize {
-        self.host_threads
+        &self.plan.backend
     }
 
     /// The compute backend every call scores on.
-    pub fn compute_backend(&self) -> ComputeBackendKind {
-        self.compute
+    pub fn compute_kind(&self) -> ComputeBackendKind {
+        self.plan.compute
     }
 
     /// Predict every row of `test` — bit-identical to
-    /// [`MpSvmModel::predict`] on the same rows.
+    /// [`MpSvmModel::predict`] on the same rows and settings.
     pub fn predict(&self, test: &CsrMatrix) -> Result<PredictOutcome, TrainError> {
-        self.model.predict_inner(
-            test,
-            &self.backend,
-            self.host_threads,
-            self.oracle.as_ref(),
-            self.compute,
-        )
+        self.plan.predict(&self.model, test, Instant::now())
     }
 }
 
@@ -469,20 +400,11 @@ fn chunk_rows(m: usize, n_sv: usize, device: Option<&Device>) -> usize {
     ((budget / (n_sv.max(1) as u64 * 8)) as usize).clamp(1, m.max(1))
 }
 
-fn argmax(p: &[f64]) -> usize {
+/// Index of the first largest entry.
+fn argmax<T: PartialOrd>(p: &[T]) -> usize {
     let mut best = 0;
-    for (i, &v) in p.iter().enumerate() {
-        if v > p[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-fn argmax_u32(p: &[u32]) -> usize {
-    let mut best = 0;
-    for (i, &v) in p.iter().enumerate() {
-        if v > p[best] {
+    for (i, v) in p.iter().enumerate() {
+        if *v > p[best] {
             best = i;
         }
     }
@@ -640,58 +562,80 @@ mod tests {
         assert!(err < 0.1, "voting error {err}");
     }
 
-    #[test]
-    fn prepared_predictor_bitwise_matches_predict() {
-        let (out, data) = trained();
-        let backend = Backend::gmp_default();
-        let direct = out
-            .model
-            .predict_with_threads(&data.x, &backend, Some(1))
-            .unwrap();
-        let prepared = PreparedPredictor::new(Arc::new(out.model.clone()), backend, Some(1));
-        // Whole set in one call.
+    /// `prepared` scores row chunks of 1, 7 and 30 with the bits of
+    /// [`MpSvmModel::predict`]: every decision value, probability and
+    /// label matches the whole-set call, and each chunk's kernel evals and
+    /// simulated seconds match an offline call on the same rows.
+    fn assert_chunks_match_predict(
+        model: &MpSvmModel,
+        data: &gmp_datasets::Dataset,
+        prepared: &PreparedPredictor,
+    ) {
+        let backend = prepared.backend();
+        let whole = model.predict(&data.x, backend).unwrap();
         let all = prepared.predict(&data.x).unwrap();
-        assert_eq!(all.decision_values, direct.decision_values);
-        assert_eq!(all.probabilities, direct.probabilities);
-        assert_eq!(all.labels, direct.labels);
-        // Row-at-a-time and odd-sized chunks: identical bits regardless of
-        // how rows are batched (the serving subsystem's core guarantee).
-        let mut start = 0usize;
+        assert_eq!(all.decision_values, whole.decision_values);
+        assert_eq!(all.probabilities, whole.probabilities);
+        assert_eq!(all.labels, whole.labels);
+        assert_eq!(all.report.kernel_evals, whole.report.kernel_evals);
         for chunk in [1usize, 7, 30] {
-            while start < data.n() {
-                let end = (start + chunk).min(data.n());
-                let rows: Vec<usize> = (start..end).collect();
+            for start in (0..data.n()).step_by(chunk) {
+                let rows: Vec<usize> = (start..(start + chunk).min(data.n())).collect();
                 let sub = data.x.select_rows(&rows);
                 let p = prepared.predict(&sub).unwrap();
-                for (i, r) in rows.iter().enumerate() {
-                    assert_eq!(p.decision_values[i], direct.decision_values[*r]);
-                    assert_eq!(p.probabilities[i], direct.probabilities[*r]);
-                    assert_eq!(p.labels[i], direct.labels[*r]);
-                }
-                start = end;
-                if start >= data.n() {
-                    start = 0;
-                    break;
+                let direct = model.predict(&sub, backend).unwrap();
+                assert_eq!(p.report.kernel_evals, direct.report.kernel_evals);
+                assert_eq!(p.report.sim_s.to_bits(), direct.report.sim_s.to_bits());
+                for (i, &r) in rows.iter().enumerate() {
+                    assert_eq!(p.decision_values[i], whole.decision_values[r]);
+                    assert_eq!(p.probabilities[i], whole.probabilities[r]);
+                    assert_eq!(p.labels[i], whole.labels[r]);
                 }
             }
         }
         // Kernel-eval accounting stays per-call (not cumulative).
-        let once = prepared.predict(&data.x).unwrap();
-        assert_eq!(once.report.kernel_evals, direct.report.kernel_evals);
+        let again = prepared.predict(&data.x).unwrap();
+        assert_eq!(again.report.kernel_evals, whole.report.kernel_evals);
+    }
+
+    #[test]
+    fn prepared_predictor_bitwise_matches_predict() {
+        let (out, data) = trained();
+        let prepared = PreparedPredictor::new(Arc::new(out.model.clone()), Backend::gmp_default())
+            .host_threads(Some(1));
+        assert_chunks_match_predict(&out.model, &data, &prepared);
     }
 
     #[test]
     fn prepared_predictor_unshared_backend_falls_back() {
+        // The unshared backends prepare one oracle per binary's SV list.
         let (out, data) = trained();
-        let backend = Backend::gpu_baseline_default();
-        let direct = out
-            .model
-            .predict_with_threads(&data.x, &backend, Some(1))
-            .unwrap();
-        let prepared = PreparedPredictor::new(Arc::new(out.model.clone()), backend, Some(1));
-        let p = prepared.predict(&data.x).unwrap();
-        assert_eq!(p.labels, direct.labels);
-        assert_eq!(p.decision_values, direct.decision_values);
+        let model = Arc::new(out.model);
+        for backend in [Backend::libsvm(), Backend::gpu_baseline_default()] {
+            for threads in [1, 4] {
+                let prepared = PreparedPredictor::new(model.clone(), backend.clone())
+                    .host_threads(Some(threads));
+                assert_eq!(prepared.plan.groups.len(), model.binaries.len());
+                assert_chunks_match_predict(&model, &data, &prepared);
+            }
+        }
+    }
+
+    #[test]
+    fn too_wide_test_matrix_is_refused() {
+        let (out, _) = trained();
+        let wide = CsrMatrix::from_dense(&[vec![0.1, 0.5, 0.0, 0.0, 1.0]], 5);
+        for backend in [Backend::gmp_default(), Backend::libsvm()] {
+            let err = out.model.predict(&wide, &backend).unwrap_err();
+            assert!(matches!(
+                err,
+                TrainError::DimensionMismatch { model: 2, test: 5 }
+            ));
+            assert_eq!(
+                err.to_string(),
+                "test data has 5 features but the model has 2"
+            );
+        }
     }
 
     #[test]

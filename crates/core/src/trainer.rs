@@ -29,6 +29,13 @@ pub enum TrainError {
     },
     /// The simulated device ran out of memory even for the minimal plan.
     Device(DeviceError),
+    /// A test matrix's width differs from the model's dimensionality.
+    DimensionMismatch {
+        /// Features the model was trained on.
+        model: usize,
+        /// Features of the test matrix.
+        test: usize,
+    },
 }
 
 impl fmt::Display for TrainError {
@@ -38,6 +45,9 @@ impl fmt::Display for TrainError {
                 write!(f, "need at least 2 classes, found {found}")
             }
             TrainError::Device(e) => write!(f, "device error: {e}"),
+            TrainError::DimensionMismatch { model, test } => {
+                write!(f, "test data has {test} features but the model has {model}")
+            }
         }
     }
 }

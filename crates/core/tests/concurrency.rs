@@ -4,7 +4,8 @@
 //! budget) must be identical to the sequential run.
 
 use gmp_datasets::BlobSpec;
-use gmp_svm::{Backend, MpSvmTrainer, SvmParams, TrainOutcome};
+use gmp_svm::{Backend, MpSvmTrainer, PreparedPredictor, SvmParams, TrainOutcome};
+use std::sync::Arc;
 
 /// Four classes -> six binary problems, so a wave genuinely holds several
 /// concurrent problems and every (row, class) segment is reused by k-1 = 3
@@ -112,14 +113,14 @@ fn concurrent_training_respects_device_budget() {
 fn threaded_prediction_matches_sequential() {
     let out = train(1);
     let d = data();
-    let seq = out
-        .model
-        .predict_with_threads(&d.x, &Backend::gmp_default(), Some(1))
-        .unwrap();
-    let par = out
-        .model
-        .predict_with_threads(&d.x, &Backend::gmp_default(), Some(4))
-        .unwrap();
+    let model = Arc::new(out.model);
+    let predict = |threads| {
+        PreparedPredictor::new(model.clone(), Backend::gmp_default())
+            .host_threads(Some(threads))
+            .predict(&d.x)
+            .unwrap()
+    };
+    let (seq, par) = (predict(1), predict(4));
     assert_eq!(seq.labels, par.labels);
     assert_eq!(par.report.host_threads, 4);
     for (a, b) in seq

@@ -80,46 +80,54 @@ fn audit_simplex(p: &[f64], tol: f64, who: &str) {
     });
 }
 
+/// The ridge added to `Q`'s diagonal when plain elimination meets a
+/// vanishing pivot.
+const RIDGE: f64 = 1e-10;
+
 /// Solve Problem (14) in closed form: `p = Q⁻¹e / (eᵀQ⁻¹e)` via Gaussian
-/// elimination with partial pivoting (Equation 15). A small ridge is added
-/// when `Q` is numerically singular, as the paper prescribes.
+/// elimination with partial pivoting (Equation 15). `Q` is singular
+/// whenever the estimates are pairwise consistent — at `k = 2` always — so
+/// a vanishing pivot retries once with a small ridge, as the paper
+/// prescribes.
 pub fn couple_gaussian(r: &PairwiseProbs) -> Vec<f64> {
     let k = r.k();
-    let mut q = r.build_q();
     let mut x = vec![1.0f64; k]; // e
-                                 // Try plain elimination; on a vanishing pivot, ridge and retry.
-    for ridge in [0.0, 1e-10, 1e-8, 1e-6] {
-        let mut a = q.clone();
-        if ridge > 0.0 {
-            for s in 0..k {
-                a[s * k + s] += ridge;
-            }
+    if !gaussian_solve(&mut r.build_q(), &mut x, k) {
+        let mut q = r.build_q();
+        for s in 0..k {
+            q[s * k + s] += RIDGE;
         }
-        let mut b = vec![1.0f64; k];
-        if gaussian_solve(&mut a, &mut b, k) {
-            x = b;
-            // Normalize; the optimum of the constrained problem.
-            let sum: f64 = x.iter().sum();
-            if sum.abs() > 1e-300 {
-                let mut p: Vec<f64> = x.iter().map(|v| v / sum).collect();
-                // Numerical guard: clamp and renormalize.
-                for v in p.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                let s2: f64 = p.iter().sum();
-                if s2 > 0.0 {
-                    for v in p.iter_mut() {
-                        *v /= s2;
-                    }
-                    audit_simplex(&p, 1e-9, "couple_gaussian");
-                    return p;
-                }
-            }
-        }
+        x.fill(1.0);
+        let solved = gaussian_solve(&mut q, &mut x, k);
+        gmp_sync::audit!(assert!(solved, "couple_gaussian: ridged Q is singular"));
     }
-    // Last resort: uniform (should be unreachable for valid inputs).
-    q.clear();
-    vec![1.0 / k as f64; k]
+    // Normalize twice: the second division keeps the bits of every
+    // probability the goldens pin.
+    let sum: f64 = x.iter().sum();
+    let mut p: Vec<f64> = x.iter().map(|v| v / sum).collect();
+    let s2: f64 = p.iter().sum();
+    for v in p.iter_mut() {
+        *v /= s2;
+    }
+    gmp_sync::audit!({
+        let res = coupling_residual(r, &p);
+        assert!(res <= 10.0 * RIDGE, "couple_gaussian: residual {res:e}");
+    });
+    audit_simplex(&p, 1e-9, "couple_gaussian");
+    p
+}
+
+/// The optimality residual of Problem (14) at `p`: `max_s |(Qp)_s − pᵀQp|`,
+/// zero at the exact optimum (the quantity LibSVM's iterative solver stops
+/// on).
+pub fn coupling_residual(r: &PairwiseProbs, p: &[f64]) -> f64 {
+    let k = r.k();
+    let q = r.build_q();
+    let qp: Vec<f64> = (0..k)
+        .map(|s| (0..k).map(|j| q[s * k + j] * p[j]).sum())
+        .collect();
+    let pqp: f64 = p.iter().zip(&qp).map(|(a, b)| a * b).sum();
+    qp.iter().map(|v| (v - pqp).abs()).fold(0.0, f64::max)
 }
 
 /// In-place Gaussian elimination with partial pivoting solving `A x = b`.

@@ -13,6 +13,6 @@ pub mod coupling;
 pub mod metrics;
 pub mod platt;
 
-pub use coupling::{couple_gaussian, couple_iterative, PairwiseProbs};
+pub use coupling::{couple_gaussian, couple_iterative, coupling_residual, PairwiseProbs};
 pub use metrics::{brier_score, calibration, log_loss, Calibration, CalibrationBin};
 pub use platt::{sigmoid_predict, sigmoid_train, SigmoidParams};

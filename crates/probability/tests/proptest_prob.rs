@@ -1,6 +1,9 @@
 //! Property-based tests for the probability machinery.
 
-use gmp_prob::{couple_gaussian, couple_iterative, sigmoid_predict, sigmoid_train, PairwiseProbs};
+use gmp_prob::{
+    couple_gaussian, couple_iterative, coupling_residual, sigmoid_predict, sigmoid_train,
+    PairwiseProbs,
+};
 use proptest::prelude::*;
 
 /// Random pairwise probability matrix for k classes.
@@ -15,6 +18,121 @@ fn pairwise(k: usize) -> impl Strategy<Value = PairwiseProbs> {
         }
         r
     })
+}
+
+/// Pairwise estimates for 2 to 20 classes that reach the `1e-7` clamps:
+/// free values in `[0, 1]` with exact 0s and 1s mixed in, or values
+/// consistent with a score vector (`Q` singular up to rounding).
+fn pairwise_with_clamps() -> impl Strategy<Value = PairwiseProbs> {
+    (2usize..=20, proptest::bool::ANY).prop_flat_map(|(k, consistent)| {
+        let value = prop_oneof![Just(0.0), Just(1.0), 0.0..=1.0f64];
+        (
+            proptest::collection::vec(value, k * (k - 1) / 2),
+            proptest::collection::vec(1e-9..1.0f64, k),
+        )
+            .prop_map(move |(vals, w)| {
+                let mut r = PairwiseProbs::new(k);
+                let mut it = vals.into_iter();
+                for s in 0..k {
+                    for t in s + 1..k {
+                        let free = it.next().expect("enough values");
+                        r.set(
+                            s,
+                            t,
+                            if consistent {
+                                w[s] / (w[s] + w[t])
+                            } else {
+                                free
+                            },
+                        );
+                    }
+                }
+                r
+            })
+    })
+}
+
+/// `couple_gaussian` as it was before its unreachable fallbacks were
+/// removed: ridges 0, 1e-10, 1e-8 and 1e-6, a fresh `Q` copy per attempt,
+/// a negative clamp, and a uniform last resort.
+fn couple_gaussian_reference(r: &PairwiseProbs) -> Vec<f64> {
+    let k = r.k();
+    let mut q = vec![0.0; k * k];
+    for s in 0..k {
+        let mut diag = 0.0;
+        for u in 0..k {
+            if u != s {
+                diag += r.get(u, s) * r.get(u, s);
+                q[s * k + u] = -r.get(s, u) * r.get(u, s);
+            }
+        }
+        q[s * k + s] = diag;
+    }
+    for ridge in [0.0, 1e-10, 1e-8, 1e-6] {
+        let mut a = q.clone();
+        if ridge > 0.0 {
+            for s in 0..k {
+                a[s * k + s] += ridge;
+            }
+        }
+        let mut b = vec![1.0f64; k];
+        if reference_solve(&mut a, &mut b, k) {
+            let sum: f64 = b.iter().sum();
+            if sum.abs() > 1e-300 {
+                let mut p: Vec<f64> = b.iter().map(|v| v / sum).collect();
+                for v in p.iter_mut() {
+                    *v = v.max(0.0);
+                }
+                let s2: f64 = p.iter().sum();
+                if s2 > 0.0 {
+                    for v in p.iter_mut() {
+                        *v /= s2;
+                    }
+                    return p;
+                }
+            }
+        }
+    }
+    vec![1.0 / k as f64; k]
+}
+
+/// The library's Gauss–Jordan elimination with partial pivoting.
+fn reference_solve(a: &mut [f64], b: &mut [f64], k: usize) -> bool {
+    for col in 0..k {
+        let mut piv = col;
+        for row in col + 1..k {
+            if a[row * k + col].abs() > a[piv * k + col].abs() {
+                piv = row;
+            }
+        }
+        if a[piv * k + col].abs() < 1e-12 {
+            return false;
+        }
+        if piv != col {
+            for j in 0..k {
+                a.swap(col * k + j, piv * k + j);
+            }
+            b.swap(col, piv);
+        }
+        let d = a[col * k + col];
+        for row in 0..k {
+            if row == col {
+                continue;
+            }
+            let factor = a[row * k + col] / d;
+            if factor == 0.0 {
+                continue;
+            }
+            for j in col..k {
+                a[row * k + j] -= factor * a[col * k + j];
+            }
+            b[row] -= factor * b[col];
+        }
+    }
+    for col in 0..k {
+        b[col] /= a[col * k + col];
+    }
+    true
 }
 
 fn coupling_objective(r: &PairwiseProbs, p: &[f64]) -> f64 {
@@ -135,5 +253,23 @@ proptest! {
         let lo = sigmoid_predict(-1.0, &p);
         let hi = sigmoid_predict(1.0, &p);
         prop_assert!(hi > lo);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn coupling_certificate_holds_at_the_clamps(r in pairwise_with_clamps()) {
+        // The optimality residual of Problem (14) vanishes up to the ridge,
+        // and the answer keeps the bits of the version with every fallback.
+        let p = couple_gaussian(&r);
+        let res = coupling_residual(&r, &p);
+        prop_assert!(res <= 1e-9, "k = {}: residual {:e}", r.k(), res);
+        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        prop_assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)), "{:?}", p);
+        let reference = couple_gaussian_reference(&r);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&p), bits(&reference));
     }
 }

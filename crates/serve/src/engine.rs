@@ -50,17 +50,16 @@ impl std::error::Error for EngineError {}
 /// batch — however small — only pays for the actual scoring.
 pub struct PredictorEngine {
     predictor: PreparedPredictor,
-    dim: usize,
 }
 
 impl fmt::Debug for PredictorEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PredictorEngine")
             .field("classes", &self.classes())
-            .field("dim", &self.dim)
+            .field("dim", &self.dim())
             .field("n_sv", &self.predictor.model().n_sv())
             .field("backend", &self.predictor.backend().label())
-            .field("compute_backend", &self.predictor.compute_backend().name())
+            .field("compute_backend", &self.compute_backend().name())
             .finish()
     }
 }
@@ -107,24 +106,20 @@ impl PredictorEngine {
                 });
             }
         }
-        let dim = model.sv_pool.ncols();
-        let predictor = PreparedPredictor::with_compute_backend(
-            Arc::new(model),
-            backend,
-            host_threads,
-            compute,
-        );
-        Ok(PredictorEngine { predictor, dim })
+        let predictor = PreparedPredictor::new(Arc::new(model), backend)
+            .host_threads(host_threads)
+            .compute_backend(compute);
+        Ok(PredictorEngine { predictor })
     }
 
     /// The compute backend every scoring call uses.
     pub fn compute_backend(&self) -> ComputeBackendKind {
-        self.predictor.compute_backend()
+        self.predictor.compute_kind()
     }
 
     /// Feature dimensionality requests must respect.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.model().sv_pool.ncols()
     }
 
     /// Number of classes in every probability vector.

@@ -17,7 +17,28 @@ use gmp_integration::{
     news20_golden_params, news20_golden_split, predict_hashes,
 };
 use gmp_serve::PredictorEngine;
-use gmp_svm::{Backend, ComputeBackendKind, MpSvmModel, MpSvmTrainer, TrainOutcome};
+use gmp_svm::{
+    Backend, ComputeBackendKind, MpSvmModel, MpSvmTrainer, PredictOutcome, PreparedPredictor,
+    TrainOutcome,
+};
+use std::sync::Arc;
+
+/// Offline prediction of `x` through the builder, on `threads` host
+/// threads and the `compute` backend.
+fn predict_on(
+    model: &MpSvmModel,
+    x: &gmp_sparse::CsrMatrix,
+    backend: Backend,
+    threads: usize,
+    compute: ComputeBackendKind,
+) -> PredictOutcome {
+    PreparedPredictor::new(Arc::new(model.clone()), backend)
+        .host_threads(Some(threads))
+        .compute_backend(compute)
+        .predict(x)
+        // gmp:allow-panic — test
+        .expect("prediction")
+}
 
 fn train_on(compute: ComputeBackendKind, threads: Option<usize>) -> TrainOutcome {
     let data = golden_dataset();
@@ -48,11 +69,13 @@ fn scalar_backend_matches_pre_refactor_goldens() {
     let text = out.model.to_text();
     assert_eq!(fnv64(text.bytes()), GOLDEN_MODEL_FNV, "model text drifted");
 
-    let pred = out
-        .model
-        .predict_with_threads(&data.x, &golden_backend(), Some(1))
-        // gmp:allow-panic — test
-        .expect("predicting the pinned scenario");
+    let pred = predict_on(
+        &out.model,
+        &data.x,
+        golden_backend(),
+        1,
+        ComputeBackendKind::from_env(),
+    );
     assert_eq!(pred.report.kernel_evals, GOLDEN_PREDICT_EVALS);
     let (dv, prob, labels) = predict_hashes(&pred);
     assert_eq!(dv, GOLDEN_DV_FNV, "decision values drifted");
@@ -81,10 +104,7 @@ fn all_backends_are_bit_identical_end_to_end() {
         let reparsed = MpSvmModel::from_text(&text).expect("reparsing serialized model");
 
         // Offline prediction on the reparsed model.
-        let pred = reparsed
-            .predict_with_compute_backend(&data.x, &golden_backend(), compute)
-            // gmp:allow-panic — test
-            .expect("offline prediction");
+        let pred = predict_on(&reparsed, &data.x, golden_backend(), 1, compute);
         assert_eq!(pred.report.compute_backend, compute.name());
 
         // Serve-score the same rows through the engine (train → text →
@@ -145,16 +165,8 @@ fn host_threads_never_change_bits() {
             "{}: threading changed the model",
             compute.name()
         );
-        let p1 = single
-            .model
-            .predict_with_threads(&data.x, &golden_backend(), Some(1))
-            // gmp:allow-panic — test
-            .expect("single-thread prediction");
-        let p4 = multi
-            .model
-            .predict_with_threads(&data.x, &golden_backend(), Some(4))
-            // gmp:allow-panic — test
-            .expect("multi-thread prediction");
+        let p1 = predict_on(&single.model, &data.x, golden_backend(), 1, compute);
+        let p4 = predict_on(&multi.model, &data.x, golden_backend(), 4, compute);
         assert_eq!(
             predict_hashes(&p1),
             predict_hashes(&p4),
@@ -171,11 +183,7 @@ fn unshared_prediction_path_agrees_across_backends() {
     let out = train_on(ComputeBackendKind::Scalar, Some(1));
     let mut hashes = Vec::new();
     for compute in ComputeBackendKind::ALL {
-        let pred = out
-            .model
-            .predict_with_compute_backend(&data.x, &Backend::libsvm(), compute)
-            // gmp:allow-panic — test
-            .expect("unshared prediction");
+        let pred = predict_on(&out.model, &data.x, Backend::libsvm(), 1, compute);
         hashes.push(predict_hashes(&pred));
     }
     assert!(hashes.windows(2).all(|w| w[0] == w[1]));
@@ -202,11 +210,13 @@ fn news20_stand_in_matches_goldens_on_every_predict_route() {
     assert_eq!(fnv64(text.bytes()), NEWS20_MODEL_FNV, "model text drifted");
 
     for threads in [1, 3] {
-        let pred = out
-            .model
-            .predict_with_threads(&split.test.x, &golden_backend(), Some(threads))
-            // gmp:allow-panic — test
-            .expect("offline prediction");
+        let pred = predict_on(
+            &out.model,
+            &split.test.x,
+            golden_backend(),
+            threads,
+            ComputeBackendKind::from_env(),
+        );
         assert_eq!(predict_hashes(&pred), golden, "{threads} host threads");
     }
 
