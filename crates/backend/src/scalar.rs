@@ -94,7 +94,11 @@ fn fill_rows(
         for (out_row, &r) in piece.chunks_mut(cols.len()).zip(&src_rows[first..]) {
             out_row.fill(0.0);
             let row = src.row(r);
-            for (&c, &s) in row.indices.iter().zip(row.values) {
+            // Features past the column view's last row store nothing.
+            let stored = row
+                .indices
+                .partition_point(|&c| (c as usize) < columns.nrows());
+            for (&c, &s) in row.indices[..stored].iter().zip(row.values) {
                 let col = columns.row(c as usize);
                 let a = col.indices.partition_point(|&j| j < lo);
                 let b = a + col.indices[a..].partition_point(|&j| j < hi);

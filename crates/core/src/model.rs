@@ -219,6 +219,10 @@ impl MpSvmModel {
         }
         let pool_rows: usize = ptoks[1].parse().map_err(|_| err(ln + 1, "bad pool rows"))?;
         let pool_cols: usize = ptoks[2].parse().map_err(|_| err(ln + 1, "bad pool cols"))?;
+        // Column ids are stored as u32.
+        if pool_cols > u32::MAX as usize + 1 {
+            return Err(err(ln + 1, "pool cols beyond the u32 index range"));
+        }
         let mut builder = CsrBuilder::new(pool_cols.max(1));
         for _ in 0..pool_rows {
             let (ln, row_line) = lines.next().ok_or_else(|| err(0, "truncated sv_pool"))?;
@@ -652,5 +656,54 @@ mod tests {
             let m2 = MpSvmModel::from_text(&m.to_text()).unwrap();
             assert_eq!(m2.kernel, kernel);
         }
+    }
+
+    /// `sample_model` with its `sv_pool` line claiming `cols` columns.
+    fn claiming_width(cols: u64) -> Result<MpSvmModel, ModelParseError> {
+        edited(|l| {
+            assert_eq!(l[3], "sv_pool 3 2");
+            l[3] = format!("sv_pool 3 {cols}");
+        })
+    }
+
+    #[test]
+    fn pool_width_beyond_u32_indices_is_refused() {
+        let e = claiming_width(u32::MAX as u64 + 2).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (4, "pool cols beyond the u32 index range")
+        );
+    }
+
+    #[test]
+    fn huge_claimed_pool_width_predicts_like_the_stored_width() {
+        use crate::{Backend, ComputeBackendKind, PreparedPredictor};
+        use std::sync::Arc;
+        let wide = claiming_width(4_000_000_000).unwrap();
+        let narrow = claiming_width(2).unwrap();
+        let rows = [vec![0.3, -1.2], vec![1.5, 0.0]];
+        let predict = |model: MpSvmModel, width: usize| {
+            let mut test = CsrBuilder::new(width);
+            for row in &rows {
+                test.start_row();
+                for (c, &v) in row.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+                    test.push(c as u32, v);
+                }
+            }
+            let test = test.finish();
+            PreparedPredictor::new(Arc::new(model), Backend::gmp_default())
+                .compute_backend(ComputeBackendKind::Scalar)
+                .predict(&test)
+                .unwrap()
+        };
+        let (w, n) = (predict(wide, 4_000_000_000), predict(narrow, 2));
+        assert_eq!(w.labels, n.labels);
+        let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            v.iter()
+                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&w.probabilities), bits(&n.probabilities));
+        assert_eq!(bits(&w.decision_values), bits(&n.decision_values));
     }
 }

@@ -36,6 +36,13 @@ pub enum TrainError {
         /// Features of the test matrix.
         test: usize,
     },
+    /// A training feature value is NaN or ±∞.
+    NonFiniteFeature {
+        /// Row of the training matrix (0-based).
+        row: usize,
+        /// Column of the feature (0-based).
+        feature: usize,
+    },
 }
 
 impl fmt::Display for TrainError {
@@ -47,6 +54,12 @@ impl fmt::Display for TrainError {
             TrainError::Device(e) => write!(f, "device error: {e}"),
             TrainError::DimensionMismatch { model, test } => {
                 write!(f, "test data has {test} features but the model has {model}")
+            }
+            TrainError::NonFiniteFeature { row, feature } => {
+                write!(
+                    f,
+                    "training row {row}, feature column {feature}: value is not finite"
+                )
             }
         }
     }
@@ -153,6 +166,14 @@ impl MpSvmTrainer {
         let k = data.n_classes();
         if k < 2 {
             return Err(TrainError::TooFewClasses { found: k });
+        }
+        // A NaN distance would turn into a plausible kernel value, so data
+        // built in code is checked here as parsed files are by the parser.
+        for (row, r) in data.x.rows().enumerate() {
+            if let Some(p) = r.values.iter().position(|v| !v.is_finite()) {
+                let feature = r.indices[p] as usize;
+                return Err(TrainError::NonFiniteFeature { row, feature });
+            }
         }
         let wall_start = Instant::now();
         let (grouped, offsets, _, problems) = ovo::decompose(data);
@@ -920,5 +941,29 @@ mod tests {
         assert!(out.report.sim_phases.total() > 0.0);
         assert!(out.report.kernel_evals > 0);
         assert!(out.report.rows_computed > 0);
+    }
+
+    fn with_value_at(v: f64) -> Dataset {
+        let x = vec![vec![0.0, 1.0], vec![1.0, 0.5], vec![0.5, v], vec![1.0, 1.0]];
+        Dataset::new(gmp_sparse::CsrMatrix::from_dense(&x, 2), vec![0, 0, 1, 1])
+    }
+
+    #[test]
+    fn nan_feature_built_in_code_is_refused() {
+        let err = MpSvmTrainer::new(SvmParams::default(), Backend::gmp_default())
+            .train(&with_value_at(f64::NAN))
+            .unwrap_err();
+        assert_eq!(err, TrainError::NonFiniteFeature { row: 2, feature: 1 });
+        assert!(err.to_string().contains("row 2, feature column 1"), "{err}");
+    }
+
+    #[test]
+    fn infinite_feature_built_in_code_is_refused() {
+        for v in [f64::INFINITY, f64::NEG_INFINITY] {
+            let err = MpSvmTrainer::new(SvmParams::default(), Backend::libsvm())
+                .train(&with_value_at(v))
+                .unwrap_err();
+            assert_eq!(err, TrainError::NonFiniteFeature { row: 2, feature: 1 });
+        }
     }
 }

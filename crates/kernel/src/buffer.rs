@@ -12,7 +12,10 @@
 
 use gmp_gpusim::{Device, DeviceAlloc, DeviceError};
 use gmp_sparse::DenseMatrix;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+/// Marks an id without a slot and a slot without an id.
+const FREE: usize = usize::MAX;
 
 /// Row replacement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,10 +59,13 @@ pub struct KernelBuffer {
     width: usize,
     capacity: usize,
     storage: Vec<f64>,
-    /// instance id -> slot
-    slot_of: HashMap<usize, usize>,
-    /// slot -> instance id (usize::MAX = free)
+    /// instance id -> slot (`FREE` = not resident): a dense table grown to
+    /// the largest id seen, so a lookup is one index, not a hash.
+    slot_of: Vec<usize>,
+    /// slot -> instance id (`FREE` = free slot)
     id_of: Vec<usize>,
+    /// Per-slot pin marks, set for the duration of one `insert_batch`.
+    pinned: Vec<bool>,
     free_slots: Vec<usize>,
     /// FIFO of insertion batches (ids may have been evicted individually
     /// by pinning; stale entries are skipped).
@@ -69,8 +75,8 @@ pub struct KernelBuffer {
     batch_pool: Vec<Vec<usize>>,
     /// Scratch for fully-pinned batches held aside during eviction.
     held: Vec<Vec<usize>>,
-    /// LRU clock: id -> last-touch tick (kept under `Lru` only).
-    last_used: HashMap<usize, u64>,
+    /// LRU clock: slot -> last-touch tick (kept under `Lru` only).
+    last_used: Vec<u64>,
     tick: u64,
     policy: ReplacementPolicy,
     stats: BufferStats,
@@ -102,13 +108,14 @@ impl KernelBuffer {
             width,
             capacity,
             storage: vec![0.0; capacity * width],
-            slot_of: HashMap::with_capacity(capacity),
-            id_of: vec![usize::MAX; capacity],
+            slot_of: Vec::new(),
+            id_of: vec![FREE; capacity],
+            pinned: vec![false; capacity],
             free_slots: (0..capacity).rev().collect(),
             batches: VecDeque::new(),
             batch_pool: Vec::new(),
             held: Vec::new(),
-            last_used: HashMap::new(),
+            last_used: vec![0; capacity],
             tick: 0,
             policy,
             stats: BufferStats::default(),
@@ -120,12 +127,12 @@ impl KernelBuffer {
 
     /// Rows currently resident.
     pub fn len(&self) -> usize {
-        self.slot_of.len()
+        self.capacity - self.free_slots.len()
     }
 
     /// True when no rows are resident.
     pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
+        self.len() == 0
     }
 
     /// Counters snapshot.
@@ -135,26 +142,33 @@ impl KernelBuffer {
 
     /// Is the row for instance `id` resident (no stat/LRU side effects)?
     pub fn contains(&self, id: usize) -> bool {
-        self.slot_of.contains_key(&id)
+        self.slot(id).is_some()
+    }
+
+    /// The slot holding `id`, if resident.
+    #[inline]
+    fn slot(&self, id: usize) -> Option<usize> {
+        self.slot_of.get(id).copied().filter(|&s| s != FREE)
     }
 
     /// Look up the row for instance `id`, counting a hit or miss and
     /// touching the LRU clock.
     pub fn get(&mut self, id: usize) -> Option<&[f64]> {
-        let Some(&slot) = self.slot_of.get(&id) else {
+        let Some(slot) = self.slot(id) else {
             self.stats.misses += 1;
             return None;
         };
         self.stats.hits += 1;
-        self.stamp(id);
+        self.stamp(slot);
         Some(&self.storage[slot * self.width..(slot + 1) * self.width])
     }
 
-    /// Record a use of `id` on the LRU clock; FIFO batches need no clock.
-    fn stamp(&mut self, id: usize) {
+    /// Record a use of the row in `slot` on the LRU clock; FIFO batches
+    /// need no clock.
+    fn stamp(&mut self, slot: usize) {
         if self.policy == ReplacementPolicy::Lru {
             self.tick += 1;
-            self.last_used.insert(id, self.tick);
+            self.last_used[slot] = self.tick;
         }
     }
 
@@ -175,7 +189,7 @@ impl KernelBuffer {
                 // One batched launch for all missing rows (§3.3.1).
                 self.block.reset(missing.len(), self.width);
                 launch(&missing, &mut self.block);
-                for (bi, id) in missing.iter().enumerate() {
+                for (bi, &id) in missing.iter().enumerate() {
                     let slot = self.slot_of[id];
                     self.storage[slot * self.width..(slot + 1) * self.width]
                         .copy_from_slice(self.block.row(bi));
@@ -190,9 +204,8 @@ impl KernelBuffer {
     /// # Panics
     /// Panics if the row is not resident.
     pub fn row(&self, id: usize) -> &[f64] {
-        let slot = *self
-            .slot_of
-            .get(&id)
+        let slot = self
+            .slot(id)
             // gmp:allow-panic — documented `# Panics` contract of row
             .unwrap_or_else(|| panic!("row {id} not resident in kernel buffer"));
         &self.storage[slot * self.width..(slot + 1) * self.width]
@@ -203,9 +216,8 @@ impl KernelBuffer {
     /// # Panics
     /// Panics if the row is not resident.
     pub fn row_mut(&mut self, id: usize) -> &mut [f64] {
-        let slot = *self
-            .slot_of
-            .get(&id)
+        let slot = self
+            .slot(id)
             // gmp:allow-panic — documented `# Panics` contract of row_mut
             .unwrap_or_else(|| panic!("row {id} not resident in kernel buffer"));
         &mut self.storage[slot * self.width..(slot + 1) * self.width]
@@ -238,15 +250,22 @@ impl KernelBuffer {
             ids.len(),
             self.capacity
         );
+        self.mark_pinned(pinned, true);
         while self.free_slots.len() < ids.len() {
-            self.evict_some(pinned);
+            self.evict_some();
+        }
+        self.mark_pinned(pinned, false);
+        if let Some(&max_id) = ids.iter().max() {
+            if max_id >= self.slot_of.len() {
+                self.slot_of.resize(max_id + 1, FREE);
+            }
         }
         for &id in ids {
             // gmp:allow-panic — the eviction loop above guarantees a free slot
             let slot = self.free_slots.pop().expect("free slot");
-            self.slot_of.insert(id, slot);
+            self.slot_of[id] = slot;
             self.id_of[slot] = id;
-            self.stamp(id);
+            self.stamp(slot);
             self.stats.insertions += 1;
         }
         let mut batch = self.batch_pool.pop().unwrap_or_default();
@@ -262,15 +281,16 @@ impl KernelBuffer {
     /// the `debug-invariants` feature is on.
     fn audit_accounting(&self) {
         gmp_sync::audit!({
+            let resident = self.slot_of.iter().filter(|&&s| s != FREE).count();
             assert_eq!(
-                self.slot_of.len() + self.free_slots.len(),
+                resident + self.free_slots.len(),
                 self.capacity,
                 "kernel buffer slot ledger out of balance: {} resident + {} free != {} slots",
-                self.slot_of.len(),
+                resident,
                 self.free_slots.len(),
                 self.capacity
             );
-            for (&id, &slot) in &self.slot_of {
+            for (id, &slot) in self.slot_of.iter().enumerate().filter(|&(_, &s)| s != FREE) {
                 assert_eq!(
                     self.id_of[slot], id,
                     "reverse map disagrees at slot {slot}: slot_of says row {id}"
@@ -278,15 +298,24 @@ impl KernelBuffer {
             }
             for &slot in &self.free_slots {
                 assert_eq!(
-                    self.id_of[slot],
-                    usize::MAX,
+                    self.id_of[slot], FREE,
                     "free slot {slot} still claims a row id"
                 );
             }
         });
     }
 
-    fn evict_some(&mut self, pinned: &[usize]) {
+    /// Set or clear the pin marks of the resident rows among `ids`.
+    fn mark_pinned(&mut self, ids: &[usize], on: bool) {
+        for &id in ids {
+            if let Some(slot) = self.slot(id) {
+                self.pinned[slot] = on;
+            }
+        }
+    }
+
+    /// Evict per the policy, sparing the slots `insert_batch` pinned.
+    fn evict_some(&mut self) {
         match self.policy {
             ReplacementPolicy::FifoBatch => {
                 // Pop oldest batches, evicting their still-resident unpinned
@@ -303,13 +332,13 @@ impl KernelBuffer {
                         panic!("buffer full of pinned rows: eviction impossible");
                     };
                     batch.retain(|&id| {
-                        if !self.slot_of.contains_key(&id) {
+                        let Some(slot) = self.slot(id) else {
                             return false; // already evicted (stale entry)
-                        }
-                        if pinned.contains(&id) {
+                        };
+                        if self.pinned[slot] {
                             return true;
                         }
-                        self.evict_row(id);
+                        self.evict_slot(slot);
                         evicted_any = true;
                         false
                     });
@@ -325,37 +354,33 @@ impl KernelBuffer {
                 self.audit_accounting();
             }
             ReplacementPolicy::Lru => {
-                let victim = self
-                    .slot_of
-                    .keys()
-                    .filter(|id| !pinned.contains(id))
-                    .min_by_key(|id| self.last_used.get(id).copied().unwrap_or(0))
-                    .copied()
+                // Ticks are unique (every insert and hit stamps), so the
+                // victim does not depend on the scan order.
+                let victim = (0..self.capacity)
+                    .filter(|&slot| self.id_of[slot] != FREE && !self.pinned[slot])
+                    .min_by_key(|&slot| self.last_used[slot])
                     // gmp:allow-panic — documented failure mode: the caller pinned every resident row
                     .expect("buffer full of pinned rows: eviction impossible");
-                self.evict_row(victim);
+                self.evict_slot(victim);
             }
         }
     }
 
-    fn evict_row(&mut self, id: usize) {
-        if let Some(slot) = self.slot_of.remove(&id) {
-            self.id_of[slot] = usize::MAX;
-            self.free_slots.push(slot);
-            self.last_used.remove(&id);
-            self.stats.evictions += 1;
-        }
+    fn evict_slot(&mut self, slot: usize) {
+        self.slot_of[self.id_of[slot]] = FREE;
+        self.id_of[slot] = FREE;
+        self.free_slots.push(slot);
+        self.stats.evictions += 1;
     }
 
     /// Drop all resident rows (statistics are preserved).
     pub fn clear(&mut self) {
-        self.slot_of.clear();
-        self.last_used.clear();
+        self.slot_of.fill(FREE);
         while let Some(mut batch) = self.batches.pop_front() {
             batch.clear();
             self.batch_pool.push(batch);
         }
-        self.id_of.fill(usize::MAX);
+        self.id_of.fill(FREE);
         self.free_slots.clear();
         self.free_slots.extend((0..self.capacity).rev());
         self.audit_accounting();

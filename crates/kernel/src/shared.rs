@@ -47,6 +47,7 @@ use gmp_gpusim::{Device, DeviceAlloc, DeviceError, Executor};
 use gmp_sparse::DenseMatrix;
 use gmp_sync::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -138,7 +139,37 @@ enum SegState {
 
 #[derive(Default)]
 struct Shard {
-    segs: HashMap<(u32, u16), SegState>,
+    segs: HashMap<(u32, u16), SegState, BuildHasherDefault<SegKeyHasher>>,
+}
+
+/// Multiplicative hasher for segment keys: a shard map is probed once per
+/// segment a fetch touches, and its integer keys need no SipHash
+/// flood resistance.
+#[derive(Default)]
+struct SegKeyHasher(u64);
+
+impl Hasher for SegKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// Global FIFO eviction bookkeeping (only successfully cached segments).
@@ -272,12 +303,11 @@ impl SharedKernelStore {
         // A segment wider than the whole budget is served uncached (and,
         // degenerately, without single-flight — there is nothing to share).
         let cacheable = width > 0 && seg_bytes <= self.capacity_bytes;
+        // Hits are counted here and added to the shared counters once, at
+        // the end of the call.
+        let hits_before = outcome.hits;
         let hit = |seg: &[f64], row: &mut [f64], outcome: &mut FetchOutcome| {
             row[cols.clone()].copy_from_slice(seg);
-            self.stats.segment_hits.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .evals_saved
-                .fetch_add(width as u64, Ordering::Relaxed);
             outcome.hits += 1;
         };
 
@@ -367,6 +397,14 @@ impl SharedKernelStore {
                     }
                 }
             }
+        }
+
+        let hits = outcome.hits - hits_before;
+        if hits > 0 {
+            self.stats.segment_hits.fetch_add(hits, Ordering::Relaxed);
+            self.stats
+                .evals_saved
+                .fetch_add(hits * width as u64, Ordering::Relaxed);
         }
     }
 

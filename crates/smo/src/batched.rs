@@ -13,6 +13,21 @@
 //!    optimization on the working set;
 //! 5. propagate the accumulated α changes to the optimality indicators of
 //!    all instances (one map launch per changed row, batched).
+//!
+//! On the host, step 4 runs the way the paper's thread block does: the
+//! working set's `f`, α, labels, caps and kernel diagonal are gathered into
+//! local arrays at round start and scattered back at its end. A masked copy
+//! of `f` (−∞ outside `I_l`) makes the partner search a plain scan, and the
+//! indicator update after each pair step also finds the next `u` and the
+//! local maximum, so an iteration makes two passes over the working set.
+//! A kernel row's working-set columns are gathered lazily, the first time
+//! the row is used as `u` or `l` in the round. Step 5 makes one pass over
+//! `n` with the moved α in the inner loop, so each `f_i` still receives its
+//! adds in working-set order. Every comparison keeps its strict `<`/`>` and
+//! its working-set order, so ties resolve and bits come out as in the
+//! global-index version. Step 2 keeps its full sort: every `f` starts at
+//! ±1, and the sort's tie order decides which violators are picked, so a
+//! partial selection would change the iterate path.
 
 use crate::common::{
     compute_objective, compute_rho_capped, in_lower, in_upper, pair_update_capped, PhaseTimes,
@@ -123,6 +138,10 @@ impl BatchedSmoSolver {
         let mut ws: Vec<usize> = Vec::with_capacity(params.ws_size);
         let mut in_ws = vec![false; n];
         let mut order: Vec<usize> = (0..n).collect(); // argsort scratch
+                                                      // Per-round scratch, sized once so that rounds never allocate.
+        let mut fresh: Vec<usize> = Vec::with_capacity(params.q);
+        let mut local = LocalWs::with_capacity(params.ws_size);
+        let mut moved: Vec<(usize, f64)> = Vec::with_capacity(params.ws_size);
 
         let mut iterations = 0u64;
         let mut outer_rounds = 0u64;
@@ -152,6 +171,8 @@ impl BatchedSmoSolver {
 
             // --- Select q new violators (sort f ascending; take from both
             // ends respecting I_u / I_l membership), keep previous rows.
+            // The full sort stays: every f starts at ±1, so the sort's tie
+            // order decides which violators are picked.
             order.sort_unstable_by(|&a, &b| f[a].total_cmp(&f[b]));
             // Bitonic-sort-equivalent launch cost.
             let logn = (n.max(2) as f64).log2();
@@ -162,7 +183,7 @@ impl BatchedSmoSolver {
                 bytes_written: 8 * n as u64,
             });
             let half = (params.q / 2).max(1);
-            let mut fresh: Vec<usize> = Vec::with_capacity(params.q);
+            fresh.clear();
             let mut picked_up = 0usize;
             // Mark membership immediately: a free SV belongs to both I_u
             // and I_l and must not be picked by both passes (a duplicate
@@ -212,7 +233,8 @@ impl BatchedSmoSolver {
             wall.kernel_s += tk.elapsed().as_secs_f64();
             sim.kernel_s += exec.elapsed() - sk;
 
-            // --- Inner SMO over the working set with buffered rows.
+            // --- Inner SMO over the working set, on local arrays indexed by
+            // working-set position (see `LocalWs`).
             let t2 = Instant::now();
             let s2 = exec.elapsed();
             // When no fresh violators exist, the working set already holds
@@ -223,71 +245,35 @@ impl BatchedSmoSolver {
             } else {
                 eps.max(params.inner_relax * delta0)
             };
-            let mut changed = false;
-            let mut alpha_before: Vec<(usize, f64)> = ws.iter().map(|&i| (i, alpha[i])).collect();
+            let rows_view: &dyn KernelRows = &*rows;
+            let (mut u, mut f_u, mut local_f_max) =
+                local.gather(&ws, y, &alpha, caps, &f, rows_view);
             let mut inner_iters_this_round = 0u64;
             for _ in 0..params.max_inner {
-                let mut u = usize::MAX;
-                let mut f_u = f64::INFINITY;
-                for &i in &ws {
-                    if in_upper(y[i], alpha[i], caps[i]) && f[i] < f_u {
-                        f_u = f[i];
-                        u = i;
-                    }
-                }
-                if u == usize::MAX {
+                if u == NONE {
                     break;
                 }
                 // Local convergence is judged on the *maximum* violation in
                 // the working set (Constraint 9 restricted to it) — not on
                 // the violation of the second-order pick, which can be
                 // small even while large violators remain.
-                let local_f_max = ws
-                    .iter()
-                    .filter(|&&i| in_lower(y[i], alpha[i], caps[i]))
-                    .map(|&i| f[i])
-                    .fold(f64::NEG_INFINITY, f64::max);
                 if local_f_max - f_u < inner_eps {
                     break;
                 }
                 // Second-order partner selection within the working set.
-                let k_u = rows.row(u);
-                let diag_u = rows.diag(u);
-                let mut l = usize::MAX;
-                let mut best = f64::NEG_INFINITY;
-                let mut f_l_sel = f64::NEG_INFINITY;
-                for &i in &ws {
-                    if in_lower(y[i], alpha[i], caps[i]) && f[i] > f_u {
-                        let eta = (diag_u + rows.diag(i) - 2.0 * k_u[i]).max(TAU);
-                        let d = f_u - f[i];
-                        let gain = d * d / eta;
-                        if gain > best {
-                            best = gain;
-                            l = i;
-                            f_l_sel = f[i];
-                        }
-                    }
-                }
-                if l == usize::MAX {
+                let ku = local.fetch_row(u, &ws, rows_view);
+                let Some((l, f_l)) = local.partner(u, f_u, ku) else {
                     break;
-                }
-                let eta = rows.diag(u) + rows.diag(l) - 2.0 * k_u[l];
-                let lambda =
-                    pair_update_capped(y, &mut alpha, caps[u], caps[l], u, l, f_u, f_l_sel, eta);
-                // Refresh indicators of working-set members only; the rest
-                // of `f` is reconciled after the inner loop.
-                let k_l = rows.row(l);
-                let k_u = rows.row(u);
-                for &i in &ws {
-                    f[i] += lambda * (k_u[i] - k_l[i]);
-                }
+                };
+                let kl = local.fetch_row(l, &ws, rows_view);
+                (u, f_u, local_f_max) = local.step(u, l, f_u, f_l, ku, kl);
                 iterations += 1;
                 inner_iters_this_round += 1;
-                changed = true;
                 if iterations >= params.base.max_iter {
                     break;
                 }
             }
+            local.scatter(&ws, &mut alpha, &mut f);
             // The whole inner solve executes as ONE device launch (the
             // ThunderSVM design: one thread block per working set, rows in
             // fast memory, iterating in-kernel). Per-iteration work: two
@@ -304,21 +290,13 @@ impl BatchedSmoSolver {
             // --- Propagate Δα to indicators outside the working set.
             let t3 = Instant::now();
             let s3 = exec.elapsed();
-            alpha_before.retain(|&(i, a0)| alpha[i] != a0);
-            if !alpha_before.is_empty() {
-                for &(j, a0) in &alpha_before {
-                    let delta_ya = (alpha[j] - a0) * y[j];
-                    let k_j = rows.row(j);
-                    for i in 0..n {
-                        if !in_ws[i] {
-                            f[i] += delta_ya * k_j[i];
-                        }
-                    }
-                }
+            local.moved(&ws, &mut moved);
+            if !moved.is_empty() {
+                propagate(&moved, rows_view, &in_ws, &mut f);
                 exec.charge(KernelCost::map(
                     n as u64,
-                    2 * alpha_before.len() as u64,
-                    8 * (1 + alpha_before.len() as u64),
+                    2 * moved.len() as u64,
+                    8 * (1 + moved.len() as u64),
                 ));
             }
             wall.other_s += t3.elapsed().as_secs_f64();
@@ -326,7 +304,7 @@ impl BatchedSmoSolver {
 
             outer_rounds += 1;
             audit_solver_state(y, &alpha, caps, &f);
-            if !changed && fresh.is_empty() {
+            if inner_iters_this_round == 0 && fresh.is_empty() {
                 // Stalled: no new candidates and no inner progress.
                 break;
             }
@@ -351,6 +329,241 @@ impl BatchedSmoSolver {
             },
             alpha,
             f,
+        }
+    }
+}
+
+/// "No member" marker for working-set positions.
+const NONE: usize = usize::MAX;
+
+/// Changed α propagated per pass over `n` (a stack array of row slices,
+/// so the propagation never allocates).
+const PROPAGATE_ROWS: usize = 128;
+
+/// One round's working set in contiguous arrays indexed by working-set
+/// position `0..m` — the host counterpart of the paper's thread block
+/// holding its working set in fast memory. Gathered at round start,
+/// scattered back at its end; the buffers keep their capacity across
+/// rounds.
+///
+/// `f_low` is `f` on `I_l` and −∞ elsewhere, so the partner search is a
+/// plain scan. Its `I_u` twin (`f` or +∞) is consumed by the same pass
+/// that computes it — the indicator update after each pair step, which
+/// also finds the next `u` and the local `I_l` maximum — so it is never
+/// stored. Only `u` and `l` change membership in a step.
+///
+/// Kernel values are gathered lazily: the working-set columns of a row are
+/// copied into `k` the first time that row is used as `u` or `l` in the
+/// round, so `k` holds only the rows the round touches.
+#[derive(Default)]
+struct LocalWs {
+    f: Vec<f64>,
+    f_low: Vec<f64>,
+    alpha: Vec<f64>,
+    /// α at round start: a position whose α differs at the end is a moved
+    /// instance to propagate.
+    alpha0: Vec<f64>,
+    y: Vec<f64>,
+    cap: Vec<f64>,
+    diag: Vec<f64>,
+    upper: Vec<bool>,
+    lower: Vec<bool>,
+    /// Position -> offset of its gathered row in `k` (`NONE` = not yet).
+    k_at: Vec<usize>,
+    k: Vec<f64>,
+}
+
+impl LocalWs {
+    fn with_capacity(m: usize) -> Self {
+        LocalWs {
+            f: Vec::with_capacity(m),
+            f_low: Vec::with_capacity(m),
+            alpha: Vec::with_capacity(m),
+            alpha0: Vec::with_capacity(m),
+            y: Vec::with_capacity(m),
+            cap: Vec::with_capacity(m),
+            diag: Vec::with_capacity(m),
+            upper: Vec::with_capacity(m),
+            lower: Vec::with_capacity(m),
+            k_at: Vec::with_capacity(m),
+            // Reserved, not touched: only the rows a round uses are written.
+            k: Vec::with_capacity(m * m),
+        }
+    }
+
+    /// Gather the working set and return the first `(u, f_u, local f_max)`:
+    /// the first minimum of `f` over `I_u` in `ws` order (`NONE` when `I_u`
+    /// misses the working set) and the maximum of `f` over `I_l`.
+    fn gather(
+        &mut self,
+        ws: &[usize],
+        y: &[f64],
+        alpha: &[f64],
+        caps: &[f64],
+        f: &[f64],
+        rows: &dyn KernelRows,
+    ) -> (usize, f64, f64) {
+        self.f.clear();
+        self.f_low.clear();
+        self.alpha.clear();
+        self.y.clear();
+        self.cap.clear();
+        self.diag.clear();
+        self.upper.clear();
+        self.lower.clear();
+        self.k_at.clear();
+        self.k.clear();
+        let (mut u, mut f_u, mut f_max) = (NONE, f64::INFINITY, f64::NEG_INFINITY);
+        for (a, &i) in ws.iter().enumerate() {
+            let upper = in_upper(y[i], alpha[i], caps[i]);
+            let lower = in_lower(y[i], alpha[i], caps[i]);
+            let f_up = if upper { f[i] } else { f64::INFINITY };
+            let f_low = if lower { f[i] } else { f64::NEG_INFINITY };
+            if f_up < f_u {
+                f_u = f_up;
+                u = a;
+            }
+            if f_low > f_max {
+                f_max = f_low;
+            }
+            self.f.push(f[i]);
+            self.f_low.push(f_low);
+            self.alpha.push(alpha[i]);
+            self.y.push(y[i]);
+            self.cap.push(caps[i]);
+            self.diag.push(rows.diag(i));
+            self.upper.push(upper);
+            self.lower.push(lower);
+            self.k_at.push(NONE);
+        }
+        self.alpha0.clone_from(&self.alpha);
+        (u, f_u, f_max)
+    }
+
+    /// Offset in `k` of position `a`'s row over the working-set columns,
+    /// gathering it on first use this round.
+    fn fetch_row(&mut self, a: usize, ws: &[usize], rows: &dyn KernelRows) -> usize {
+        if self.k_at[a] == NONE {
+            self.k_at[a] = self.k.len();
+            let row = rows.row(ws[a]);
+            self.k.extend(ws.iter().map(|&j| row[j]));
+        }
+        self.k_at[a]
+    }
+
+    /// Second-order partner of `u` (row at offset `ku`): the `I_l` member
+    /// with `f > f_u` of largest gain `(f_u − f)² / η`, first in `ws`
+    /// order on ties. Returns its position and `f`.
+    fn partner(&self, u: usize, f_u: f64, ku: usize) -> Option<(usize, f64)> {
+        let m = self.f.len();
+        let k_u = &self.k[ku..ku + m];
+        let diag_u = self.diag[u];
+        let mut l = NONE;
+        let mut best = f64::NEG_INFINITY;
+        let mut f_l = f64::NEG_INFINITY;
+        for (i, (&fi, (&d, &k))) in self.f_low.iter().zip(self.diag.iter().zip(k_u)).enumerate() {
+            if fi > f_u {
+                let eta = (diag_u + d - 2.0 * k).max(TAU);
+                let diff = f_u - fi;
+                let gain = diff * diff / eta;
+                if gain > best {
+                    best = gain;
+                    l = i;
+                    f_l = fi;
+                }
+            }
+        }
+        (l != NONE).then_some((l, f_l))
+    }
+
+    /// Apply the pair step on `(u, l)` (rows at offsets `ku`, `kl`), then
+    /// refresh every member's indicator in one pass that also returns the
+    /// next `(u, f_u, local f_max)` as [`LocalWs::gather`] does.
+    fn step(
+        &mut self,
+        u: usize,
+        l: usize,
+        f_u: f64,
+        f_l: f64,
+        ku: usize,
+        kl: usize,
+    ) -> (usize, f64, f64) {
+        let m = self.f.len();
+        let eta = self.diag[u] + self.diag[l] - 2.0 * self.k[ku + l];
+        let lambda = pair_update_capped(
+            &self.y,
+            &mut self.alpha,
+            self.cap[u],
+            self.cap[l],
+            u,
+            l,
+            f_u,
+            f_l,
+            eta,
+        );
+        for p in [u, l] {
+            self.upper[p] = in_upper(self.y[p], self.alpha[p], self.cap[p]);
+            self.lower[p] = in_lower(self.y[p], self.alpha[p], self.cap[p]);
+        }
+        let (k_u, k_l) = (&self.k[ku..ku + m], &self.k[kl..kl + m]);
+        let (mut u, mut f_u, mut f_max) = (NONE, f64::INFINITY, f64::NEG_INFINITY);
+        for i in 0..m {
+            let fi = self.f[i] + lambda * (k_u[i] - k_l[i]);
+            self.f[i] = fi;
+            let f_up = if self.upper[i] { fi } else { f64::INFINITY };
+            let f_low = if self.lower[i] { fi } else { f64::NEG_INFINITY };
+            self.f_low[i] = f_low;
+            if f_up < f_u {
+                f_u = f_up;
+                u = i;
+            }
+            if f_low > f_max {
+                f_max = f_low;
+            }
+        }
+        (u, f_u, f_max)
+    }
+
+    /// Write the round's `f` and α back to the global arrays.
+    fn scatter(&self, ws: &[usize], alpha: &mut [f64], f: &mut [f64]) {
+        for (a, &i) in ws.iter().enumerate() {
+            f[i] = self.f[a];
+            alpha[i] = self.alpha[a];
+        }
+    }
+
+    /// The members whose α moved this round, as `(instance, Δα·y)` in `ws`
+    /// order.
+    fn moved(&self, ws: &[usize], out: &mut Vec<(usize, f64)>) {
+        out.clear();
+        for (a, &i) in ws.iter().enumerate() {
+            if self.alpha[a] != self.alpha0[a] {
+                out.push((i, (self.alpha[a] - self.alpha0[a]) * self.y[a]));
+            }
+        }
+    }
+}
+
+/// Propagate the moved α to the indicators outside the working set: one
+/// pass over `n` per [`PROPAGATE_ROWS`] moved instances, each `f[i]`
+/// receiving its adds in `moved` order.
+fn propagate(moved: &[(usize, f64)], rows: &dyn KernelRows, in_ws: &[bool], f: &mut [f64]) {
+    let n = f.len();
+    for chunk in moved.chunks(PROPAGATE_ROWS) {
+        let mut k_rows: [&[f64]; PROPAGATE_ROWS] = [&[]; PROPAGATE_ROWS];
+        for (slot, &(j, _)) in k_rows.iter_mut().zip(chunk) {
+            *slot = &rows.row(j)[..n];
+        }
+        let k_rows = &k_rows[..chunk.len()];
+        for i in 0..n {
+            if in_ws[i] {
+                continue;
+            }
+            let mut fi = f[i];
+            for (k_j, &(_, delta_ya)) in k_rows.iter().zip(chunk) {
+                fi += delta_ya * k_j[i];
+            }
+            f[i] = fi;
         }
     }
 }

@@ -326,13 +326,19 @@ impl CsrMatrix {
     /// strictly increasing row ids into each transposed row, and the
     /// counting pass makes the new `indptr` exact by construction.
     pub fn transpose(&self) -> CsrMatrix {
+        self.transpose_first(self.ncols)
+    }
+
+    /// [`CsrMatrix::transpose`] keeping only the first `cols` columns as
+    /// rows; `cols` must exceed every stored column index.
+    fn transpose_first(&self, cols: usize) -> CsrMatrix {
         let nrows = self.nrows();
         debug_assert!(nrows <= u32::MAX as usize, "row ids must fit in u32");
-        let mut indptr = vec![0usize; self.ncols + 1];
+        let mut indptr = vec![0usize; cols + 1];
         for &c in &self.indices {
             indptr[c as usize + 1] += 1;
         }
-        for c in 0..self.ncols {
+        for c in 0..cols {
             indptr[c + 1] += indptr[c];
         }
         let mut next = indptr.clone(); // next write slot per transposed row
@@ -360,8 +366,15 @@ impl CsrMatrix {
     /// and kept for the matrix's lifetime, so row `c` lists every row that
     /// stores feature `c`, in increasing row order. The kernel backend
     /// walks it to touch only the targets a source row's nonzeros reach.
+    ///
+    /// It has one row per column up to the largest stored one, not per
+    /// declared column: a claimed width never sizes it, and a feature past
+    /// its last row meets only zeros here, so walkers skip it.
     pub fn columns(&self) -> &CsrMatrix {
-        self.columns.get_or_init(|| Box::new(self.transpose()))
+        self.columns.get_or_init(|| {
+            let stored = self.indices.iter().max().map_or(0, |&c| c as usize + 1);
+            Box::new(self.transpose_first(stored))
+        })
     }
 
     /// Approximate heap footprint in bytes (used by the device-memory
@@ -603,7 +616,11 @@ mod tests {
         let first = m.columns();
         assert_eq!(*first, m.transpose());
         assert!(std::ptr::eq(first, m.columns()), "second call rebuilt");
-        assert_eq!(CsrMatrix::empty(2).columns().nrows(), 2);
+        // Sized by the stored columns, not the declared width.
+        assert_eq!(CsrMatrix::empty(2).columns().nrows(), 0);
+        let wide = CsrMatrix::from_dense(&[vec![0.0, 1.5, 0.0, 0.0]], 4);
+        assert_eq!(wide.columns().nrows(), 2);
+        assert_eq!(wide.columns().row(1).values, &[1.5]);
     }
 
     #[test]
