@@ -21,15 +21,9 @@ fn main() {
         let params = params_for(ds);
         let mut times = Vec::new();
         for device in [DeviceConfig::tesla_p100(), DeviceConfig::tesla_v100()] {
-            let out = MpSvmTrainer::new(
-                params,
-                Backend::Gmp {
-                    device,
-                    max_concurrent: 0,
-                },
-            )
-            .train(&split.train)
-            .expect("training failed");
+            let out = MpSvmTrainer::new(params, Backend::Gmp { device })
+                .train(&split.train)
+                .expect("training failed");
             times.push(out.report.sim_s);
         }
         rows.push(vec![

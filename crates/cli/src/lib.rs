@@ -50,7 +50,6 @@ pub fn parse_backend(name: &str) -> Result<Backend, ArgError> {
         "gmp" => Backend::gmp_default(),
         "gmp-v100" => Backend::Gmp {
             device: DeviceConfig::tesla_v100(),
-            max_concurrent: 0,
         },
         other => {
             return Err(ArgError(format!(
@@ -91,9 +90,9 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<CommonOpts, Arg
             "--weight" => {
                 let class: usize = parse_value("--weight", it.next())?;
                 let w: f64 = parse_value("--weight", it.next())?;
-                if w <= 0.0 {
+                if !(w.is_finite() && w > 0.0) {
                     return Err(ArgError(format!(
-                        "weight for class {class} must be positive"
+                        "weight for class {class} must be finite and positive"
                     )));
                 }
                 if class_weights.len() <= class {
@@ -229,7 +228,10 @@ mod tests {
     fn class_weight_flag() {
         let o = parse("--weight 2 5.0 --weight 0 0.5 x").unwrap();
         assert_eq!(o.class_weights, vec![0.5, 1.0, 5.0]);
-        assert!(parse("--weight 1 -3 x").is_err());
+        for bad in ["-3", "0", "nan", "inf"] {
+            let err = parse(&format!("--weight 1 {bad} x")).unwrap_err();
+            assert_eq!(err.0, "weight for class 1 must be finite and positive");
+        }
         assert!(parse("x").unwrap().class_weights.is_empty());
     }
 

@@ -1,6 +1,7 @@
 //! Training parameters and backend selection.
 
-use gmp_gpusim::DeviceConfig;
+use crate::trainer::resolve_host_threads_opt;
+use gmp_gpusim::{CpuExecutor, Device, DeviceConfig, Executor, Stream};
 use gmp_kernel::{ComputeBackendKind, KernelKind};
 use gmp_smo::{BatchedParams, SmoParams};
 
@@ -152,22 +153,19 @@ pub enum Backend {
         device: DeviceConfig,
     },
     /// Full GMP-SVM (§3.3): batched working sets, FIFO buffer, kernel
-    /// value sharing, concurrent binary SVMs, support-vector sharing.
+    /// value sharing, concurrent binary SVMs (as many as device memory
+    /// allows, at most 8), support-vector sharing.
     Gmp {
         /// Simulated device.
         device: DeviceConfig,
-        /// Maximum binary SVMs trained concurrently (streams); the memory
-        /// planner may lower it. 0 = auto.
-        max_concurrent: usize,
     },
 }
 
 impl Backend {
-    /// GMP-SVM on the paper's Tesla P100, auto concurrency.
+    /// GMP-SVM on the paper's Tesla P100.
     pub fn gmp_default() -> Backend {
         Backend::Gmp {
             device: DeviceConfig::tesla_p100(),
-            max_concurrent: 0,
         }
     }
 
@@ -204,9 +202,55 @@ impl Backend {
         }
     }
 
-    /// Does this backend run on the simulated device?
-    pub fn is_gpu(&self) -> bool {
-        matches!(self, Backend::GpuBaseline { .. } | Backend::Gmp { .. })
+    // The execution model, decided here once: the trainer and the scoring
+    // plan read these and match on no variant.
+
+    /// A fresh simulated device for the backends that run on one.
+    pub(crate) fn device(&self) -> Option<Device> {
+        match self {
+            Backend::GpuBaseline { device } | Backend::Gmp { device } => {
+                Some(Device::new(device.clone()))
+            }
+            Backend::CpuClassic { .. } | Backend::CpuBatched { .. } => None,
+        }
+    }
+
+    /// A fresh executor for one binary problem (or one prediction call): a
+    /// stream with `sm_fraction` of the SMs of `device` (this backend's
+    /// [`Backend::device`]), or the host model with the configured threads.
+    pub(crate) fn executor(&self, device: Option<&Device>, sm_fraction: f64) -> Box<dyn Executor> {
+        match (self, device) {
+            (Backend::CpuClassic { threads } | Backend::CpuBatched { threads }, _) => {
+                Box::new(CpuExecutor::xeon(*threads as u32))
+            }
+            (_, Some(d)) => Box::new(Stream::new(d.clone(), sm_fraction)),
+            // gmp:allow-panic — `device()` gives every GPU backend its device
+            (_, None) => unreachable!("a GPU backend runs with its device"),
+        }
+    }
+
+    /// Do the binary SVMs share kernel values? In training they read one
+    /// segment store with the batched solver; in prediction one test-by-SV
+    /// block over the whole SV pool. Otherwise each binary SVM has its own
+    /// rows: an LRU cache over its sub-dataset for the classic solver, and
+    /// its own SV list to score against.
+    pub(crate) fn shares_kernel_values(&self) -> bool {
+        matches!(self, Backend::Gmp { .. } | Backend::CpuBatched { .. })
+    }
+
+    /// Real host threads for training: GMP-SVM's `explicit` request (else
+    /// `GMP_HOST_THREADS`, else available parallelism), the CPU backends'
+    /// configured threads up to what the machine has (the cost model still
+    /// charges the configured count), and one for the GPU baseline.
+    pub(crate) fn host_threads(&self, explicit: Option<usize>) -> usize {
+        match self {
+            Backend::Gmp { .. } => resolve_host_threads_opt(explicit),
+            Backend::CpuClassic { threads } | Backend::CpuBatched { threads } => {
+                let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+                (*threads).min(avail).max(1)
+            }
+            Backend::GpuBaseline { .. } => 1,
+        }
     }
 }
 
@@ -244,7 +288,25 @@ mod tests {
         assert_eq!(Backend::libsvm().label(), "LibSVM w/o OpenMP");
         assert!(Backend::libsvm_openmp().label().contains("OpenMP"));
         assert_eq!(Backend::gmp_default().label(), "GMP-SVM");
-        assert!(Backend::gmp_default().is_gpu());
-        assert!(!Backend::cmp_svm().is_gpu());
+    }
+
+    #[test]
+    fn execution_model_per_backend() {
+        // (backend, on a device, shares kernel values)
+        for (backend, gpu, shares) in [
+            (Backend::libsvm(), false, false),
+            (Backend::cmp_svm(), false, true),
+            (Backend::gpu_baseline_default(), true, false),
+            (Backend::gmp_default(), true, true),
+        ] {
+            let device = backend.device();
+            assert_eq!(device.is_some(), gpu, "{}", backend.label());
+            assert_eq!(backend.shares_kernel_values(), shares);
+            let exec = backend.executor(device.as_ref(), 0.5);
+            assert_eq!(exec.name().starts_with("gpu-stream"), gpu);
+        }
+        assert_eq!(Backend::gpu_baseline_default().host_threads(Some(4)), 1);
+        assert_eq!(Backend::gmp_default().host_threads(Some(4)), 4);
+        assert_eq!(Backend::libsvm().host_threads(Some(4)), 1);
     }
 }

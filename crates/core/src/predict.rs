@@ -3,10 +3,10 @@
 use crate::model::MpSvmModel;
 use crate::params::Backend;
 use crate::telemetry::PredictReport;
-use crate::trainer::{resolve_host_threads_opt, TrainError};
+use crate::trainer::{check_finite, resolve_host_threads_opt, TrainError};
 use gmp_gpusim::cost::KernelCost;
 use gmp_gpusim::pool::for_each_chunk;
-use gmp_gpusim::{CpuExecutor, Device, Executor, Stream};
+use gmp_gpusim::{Device, Executor};
 use gmp_kernel::{ComputeBackendKind, KernelOracle, RowScorer};
 use gmp_prob::{couple_gaussian, sigmoid_predict, PairwiseProbs};
 use gmp_sparse::{CsrMatrix, DenseMatrix};
@@ -85,7 +85,7 @@ impl ScoringPlan {
         };
         let groups = if model.sv_pool.nrows() == 0 {
             Vec::new()
-        } else if matches!(backend, Backend::Gmp { .. } | Backend::CpuBatched { .. }) {
+        } else if backend.shares_kernel_values() {
             vec![prepare(model.sv_pool.clone(), None)]
         } else {
             model
@@ -140,25 +140,14 @@ impl ScoringPlan {
                 test: test.ncols(),
             });
         }
+        check_finite(test)?;
         let m = test.nrows();
         let k = model.classes;
         let n_binaries = model.binaries.len();
         let ht = self.host_threads;
 
-        // Executor + optional device.
-        let device = match &self.backend {
-            Backend::GpuBaseline { device } | Backend::Gmp { device, .. } => {
-                Some(Device::new(device.clone()))
-            }
-            _ => None,
-        };
-        let exec: Box<dyn Executor> = match &self.backend {
-            Backend::CpuClassic { threads } | Backend::CpuBatched { threads } => {
-                Box::new(CpuExecutor::xeon(*threads as u32))
-            }
-            // gmp:allow-panic — this match arm is only reached for GPU backends, which always carry a device
-            _ => Box::new(Stream::new(device.clone().expect("gpu backend"), 1.0)),
-        };
+        let device = self.backend.device();
+        let exec = self.backend.executor(device.as_ref(), 1.0);
         let exec = &*exec;
 
         // A binary no group scores (no support vectors) keeps `-rho`, with
@@ -273,15 +262,9 @@ impl ScoringPlan {
             let oracle = &group.oracle;
             let n_sv = oracle.n();
             // Device residency: the group's SVs + one chunk of the kernel block.
-            let _sv_mem = match device {
-                Some(d) => {
-                    let bytes = oracle.data().mem_bytes() as u64;
-                    let a = d.alloc(bytes)?;
-                    exec.charge_transfer(bytes);
-                    Some(a)
-                }
-                None => None,
-            };
+            let bytes = oracle.data().mem_bytes() as u64;
+            let _sv_mem = device.map(|d| d.alloc(bytes)).transpose()?;
+            exec.charge_transfer(bytes);
             let scorers: Vec<RowScorer<'_>> = match group.binary {
                 // Every binary scores against the same block: one fused
                 // backend launch per chunk for all of them.
@@ -310,10 +293,8 @@ impl ScoringPlan {
             while start < m {
                 let end = (start + chunk).min(m);
                 let rows: Vec<usize> = (start..end).collect();
-                let _block_mem = match device {
-                    Some(d) => Some(d.alloc((rows.len() * n_sv * 8) as u64)?),
-                    None => None,
-                };
+                let block_bytes = (rows.len() * n_sv * 8) as u64;
+                let _block_mem = device.map(|d| d.alloc(block_bytes)).transpose()?;
                 let mut block = DenseMatrix::zeros(rows.len(), n_sv);
                 evals +=
                     oracle.compute_cross_with_norms(exec, test, &rows, &test_norms, &mut block);
@@ -636,6 +617,29 @@ mod tests {
                 "test data has 5 features but the model has 2"
             );
         }
+    }
+
+    #[test]
+    fn non_finite_test_feature_is_refused_on_every_entry_point() {
+        let (out, _) = trained();
+        let model = Arc::new(out.model);
+        let nan_first = CsrMatrix::from_dense(&[vec![f64::NAN, 0.5], vec![f64::INFINITY, 0.0]], 2);
+        let inf_second = CsrMatrix::from_dense(&[vec![0.1, 0.5], vec![0.0, f64::NEG_INFINITY]], 2);
+        for backend in [Backend::gmp_default(), Backend::libsvm()] {
+            let prepared = PreparedPredictor::new(model.clone(), backend.clone());
+            for (test, row, feature) in [(&nan_first, 0, 0), (&inf_second, 1, 1)] {
+                let want = TrainError::NonFiniteFeature { row, feature };
+                assert_eq!(model.predict(test, &backend).unwrap_err(), want);
+                assert_eq!(prepared.predict(test).unwrap_err(), want);
+            }
+        }
+        let err = model
+            .predict(&nan_first, &Backend::gmp_default())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "row 0, feature column 0: value is not finite"
+        );
     }
 
     #[test]

@@ -1,4 +1,14 @@
-//! Training pipelines for all four backends (Algorithm 2 of the paper).
+//! The MP-SVM trainer (Algorithm 2 of the paper): one wave loop and one
+//! per-problem solve train every backend.
+//!
+//! The k(k−1)/2 binary SVMs run in waves. GMP-SVM plans its waves from
+//! device memory and runs a wave's problems side by side on host threads,
+//! one stream each; the other backends run waves of one problem. Each
+//! problem gets its own executor ([`Backend`] decides which). Its kernel
+//! rows come from one [`SharedKernelStore`] for the batched solver when the
+//! backend shares kernel values (GMP-SVM, CMP-SVM), and otherwise from an
+//! LRU [`BufferedRows`] over the problem's own sub-dataset for the classic
+//! solver (LibSVM, the GPU baseline).
 
 use crate::model::{BinarySvm, MpSvmModel, SvPoolBuilder};
 use crate::ovo::{self, BinaryProblem};
@@ -7,17 +17,23 @@ use crate::telemetry::{BinaryTrainStats, TrainReport};
 use gmp_datasets::Dataset;
 use gmp_gpusim::cost::KernelCost;
 use gmp_gpusim::pool::for_each_chunk;
-use gmp_gpusim::{CpuExecutor, Device, DeviceError, Executor, Stream};
+use gmp_gpusim::{Device, DeviceError, Executor};
 use gmp_kernel::{
-    BufferedRows, ClassLayout, KernelOracle, ReplacementPolicy, SharedKernelStore, SharedRows,
+    BufferedRows, ClassLayout, KernelKind, KernelOracle, ReplacementPolicy, SharedKernelStore,
+    SharedRows,
 };
 use gmp_prob::{sigmoid_train, SigmoidParams};
 use gmp_smo::{
     decision_values_for, decision_values_from_f, BatchedSmoSolver, ClassicSmoSolver, SolverResult,
 };
+use gmp_sparse::CsrMatrix;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Most binary SVMs one GMP-SVM wave trains at once. The paper gives no
+/// such cap; the memory plan can only lower it.
+const MAX_WAVE: usize = 8;
 
 /// Training failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,12 +52,21 @@ pub enum TrainError {
         /// Features of the test matrix.
         test: usize,
     },
-    /// A training feature value is NaN or ±∞.
+    /// A feature value of the training or test matrix is NaN or ±∞.
     NonFiniteFeature {
-        /// Row of the training matrix (0-based).
+        /// Row of the matrix (0-based).
         row: usize,
         /// Column of the feature (0-based).
         feature: usize,
+    },
+    /// A hyper-parameter breaks LibSVM's `svm_check_parameter` rules.
+    InvalidParameter {
+        /// The parameter (`C`, `eps`, `gamma`, `weight of class 1`, ...).
+        name: String,
+        /// The rule it breaks, e.g. `finite and > 0`.
+        rule: &'static str,
+        /// The refused value.
+        value: f64,
     },
 }
 
@@ -58,8 +83,11 @@ impl fmt::Display for TrainError {
             TrainError::NonFiniteFeature { row, feature } => {
                 write!(
                     f,
-                    "training row {row}, feature column {feature}: value is not finite"
+                    "row {row}, feature column {feature}: value is not finite"
                 )
+            }
+            TrainError::InvalidParameter { name, rule, value } => {
+                write!(f, "{name} must be {rule}, got {value}")
             }
         }
     }
@@ -71,6 +99,19 @@ impl From<DeviceError> for TrainError {
     fn from(e: DeviceError) -> Self {
         TrainError::Device(e)
     }
+}
+
+/// Refuse a NaN or ±∞ feature: a NaN distance would turn into a plausible
+/// kernel value. Parsed files are checked by the parser; this checks data
+/// built in code, on the way into training and prediction.
+pub(crate) fn check_finite(x: &CsrMatrix) -> Result<(), TrainError> {
+    for (row, r) in x.rows().enumerate() {
+        if let Some(p) = r.values.iter().position(|v| !v.is_finite()) {
+            let feature = r.indices[p] as usize;
+            return Err(TrainError::NonFiniteFeature { row, feature });
+        }
+    }
+    Ok(())
 }
 
 /// A trained model plus its training report.
@@ -96,12 +137,22 @@ pub struct MpSvmTrainer {
     host_threads: Option<usize>,
 }
 
-/// Result of one binary problem: solver output + sigmoid + stream time.
+/// Result of one binary problem: solver output + sigmoid + its executor's
+/// simulated seconds.
 struct BinaryFit {
     result: SolverResult,
     sigmoid: Option<SigmoidParams>,
     sim_s: f64,
-    kernel_evals: u64,
+}
+
+/// Where every problem's kernel rows come from.
+enum RowSource {
+    /// One segment store over the grouped dataset, shared by every problem
+    /// and read by the batched solver.
+    Shared(Arc<SharedKernelStore>),
+    /// Each problem's own sub-dataset behind an LRU row cache, read by the
+    /// classic solver; its kernel launches run on `launch_threads`.
+    PerProblem { launch_threads: usize },
 }
 
 impl MpSvmTrainer {
@@ -126,14 +177,10 @@ impl MpSvmTrainer {
         self
     }
 
-    fn resolve_host_threads(&self) -> usize {
-        resolve_host_threads_opt(self.host_threads)
-    }
-
     /// Weight the penalty per class (LibSVM's `-wi`): class `c` instances
-    /// get `C · weights[c]`. Classes beyond the vector default to 1.
+    /// get `C · weights[c]`. Classes beyond the vector default to 1. Every
+    /// weight must be finite and positive, or training refuses it.
     pub fn with_class_weights(mut self, weights: Vec<f64>) -> Self {
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
         self.class_weights = weights;
         self
     }
@@ -161,56 +208,51 @@ impl MpSvmTrainer {
         &self.params
     }
 
+    /// LibSVM's `svm_check_parameter` rules for the values training reads:
+    /// `C`, `eps` and every class weight finite and > 0, the kernel's
+    /// `gamma` finite and >= 0.
+    fn check_params(&self) -> Result<(), TrainError> {
+        let p = &self.params;
+        // (name, value, may it be 0)
+        let mut checks = vec![
+            ("C".to_string(), p.c, false),
+            ("eps".to_string(), p.eps, false),
+        ];
+        if let KernelKind::Rbf { gamma }
+        | KernelKind::Poly { gamma, .. }
+        | KernelKind::Sigmoid { gamma, .. } = p.kernel
+        {
+            checks.push(("gamma".to_string(), gamma, true));
+        }
+        let weights = self.class_weights.iter().enumerate();
+        checks.extend(weights.map(|(c, &w)| (format!("weight of class {c}"), w, false)));
+        for (name, value, zero_ok) in checks {
+            if !value.is_finite() || value < 0.0 || value == 0.0 && !zero_ok {
+                let rule = if zero_ok {
+                    "finite and >= 0"
+                } else {
+                    "finite and > 0"
+                };
+                return Err(TrainError::InvalidParameter { name, rule, value });
+            }
+        }
+        Ok(())
+    }
+
     /// Train on `data` (labels `0..k`).
     pub fn train(&self, data: &Dataset) -> Result<TrainOutcome, TrainError> {
         let k = data.n_classes();
         if k < 2 {
             return Err(TrainError::TooFewClasses { found: k });
         }
-        // A NaN distance would turn into a plausible kernel value, so data
-        // built in code is checked here as parsed files are by the parser.
-        for (row, r) in data.x.rows().enumerate() {
-            if let Some(p) = r.values.iter().position(|v| !v.is_finite()) {
-                let feature = r.indices[p] as usize;
-                return Err(TrainError::NonFiniteFeature { row, feature });
-            }
-        }
+        self.check_params()?;
+        check_finite(&data.x)?;
         let wall_start = Instant::now();
         let (grouped, offsets, _, problems) = ovo::decompose(data);
-
-        let (fits, sim_s, device, peak_mem, concurrency, host_threads) = match &self.backend {
-            Backend::CpuClassic { threads } => {
-                let (fits, sim) = self.train_cpu_classic(&grouped, &offsets, &problems, *threads);
-                (fits, sim, None, 0, 1, effective_host_threads(*threads))
-            }
-            Backend::CpuBatched { threads } => {
-                let (fits, sim) = self.train_cpu_batched(&grouped, &offsets, &problems, *threads);
-                (fits, sim, None, 0, 1, effective_host_threads(*threads))
-            }
-            Backend::GpuBaseline { device } => {
-                let dev = Device::new(device.clone());
-                let (fits, sim) = self.train_gpu_baseline(&grouped, &offsets, &problems, &dev)?;
-                let peak = dev.mem_peak();
-                (fits, sim, Some(dev), peak, 1, 1)
-            }
-            Backend::Gmp {
-                device,
-                max_concurrent,
-            } => {
-                let dev = Device::new(device.clone());
-                let (fits, sim, conc) =
-                    self.train_gmp(&grouped, &offsets, &problems, &dev, *max_concurrent)?;
-                let peak = dev.mem_peak();
-                (
-                    fits,
-                    sim,
-                    Some(dev),
-                    peak,
-                    conc,
-                    self.resolve_host_threads(),
-                )
-            }
-        };
+        let device = self.backend.device();
+        let host_threads = self.backend.host_threads(self.host_threads);
+        let (fits, sim_s, concurrency) =
+            self.run_waves(&grouped, &offsets, &problems, device.as_ref(), host_threads)?;
 
         // Assemble the model with support-vector sharing.
         let mut pool = SvPoolBuilder::new();
@@ -240,12 +282,12 @@ impl MpSvmTrainer {
                 outer_rounds: r.outer_rounds,
                 n_sv: sv_idx.len(),
                 converged: r.converged,
-                kernel_evals: fit.kernel_evals,
+                kernel_evals: r.telemetry.rows.kernel_evals,
                 sim_s: fit.sim_s,
             });
             sim_phases = sim_phases.add(&r.telemetry.sim_phases);
             wall_phases = wall_phases.add(&r.telemetry.wall_phases);
-            kernel_evals += fit.kernel_evals;
+            kernel_evals += r.telemetry.rows.kernel_evals;
             rows_computed += r.telemetry.rows.rows_computed;
             buffer_hits += r.telemetry.rows.buffer_hits;
             binaries.push(BinarySvm {
@@ -276,63 +318,174 @@ impl MpSvmTrainer {
             wall_phases,
             per_binary,
             device: device.as_ref().map(|d| d.stats()),
-            peak_device_mem: peak_mem,
+            peak_device_mem: device.as_ref().map_or(0, |d| d.mem_peak()),
             concurrency,
             host_threads,
         };
         Ok(TrainOutcome { model, report })
     }
 
-    /// Solve one problem with the classic solver over a per-problem
-    /// sub-dataset (no cross-problem sharing).
-    fn solve_classic_sub(
+    /// Train every problem in waves; returns the fits in problem order, the
+    /// simulated seconds (the data upload, then each wave's slowest member)
+    /// and the wave width.
+    ///
+    /// Concurrent problems need streams and one store to share, so only
+    /// GMP-SVM runs waves wider than one: as wide as [`MAX_WAVE`] and the
+    /// device memory left for each member's working-set region allow. A
+    /// wave's problems run on up to `host_threads` real threads, each on a
+    /// contiguous run of the wave, so the assignment is deterministic;
+    /// single-flight in the store computes each (row, class) segment once
+    /// whatever the interleaving, and every per-problem result is
+    /// independent of the thread count (pinned by the concurrency tests).
+    fn run_waves(
         &self,
         grouped: &Dataset,
         offsets: &[usize],
-        prob: &BinaryProblem,
-        exec: &dyn Executor,
-        host_threads: usize,
+        problems: &[BinaryProblem],
         device: Option<&Device>,
-    ) -> Result<BinaryFit, DeviceError> {
-        let rows_sel = prob.grouped_rows(offsets);
-        let sub = Arc::new(grouped.x.select_rows(&rows_sel));
-        // Sub-dataset resident on the device for the duration (baseline
-        // copies each binary problem's data up).
-        let _data_mem = match device {
-            Some(d) => {
-                let bytes = sub.mem_bytes() as u64;
-                let alloc = d.alloc(bytes)?;
-                exec.charge_transfer(bytes);
-                Some(alloc)
+        host_threads: usize,
+    ) -> Result<(Vec<BinaryFit>, f64, usize), DeviceError> {
+        let shared = self.backend.shares_kernel_values();
+        let concurrent = shared && device.is_some();
+        // Threads a short problem list leaves idle (a binary set has one
+        // problem) go to each kernel launch.
+        let launch_threads = host_threads / if concurrent { problems.len().max(1) } else { 1 };
+
+        let (source, _data_mem, mut sim_s) = if shared {
+            // One resident copy of the grouped dataset serves every problem.
+            let bytes = grouped.x.mem_bytes() as u64;
+            let data_mem = device.map(|d| d.alloc(bytes)).transpose()?;
+            let setup = self.backend.executor(device, 1.0);
+            setup.charge_transfer(bytes);
+            let oracle = Arc::new(
+                KernelOracle::new(Arc::new(grouped.x.clone()), self.params.kernel)
+                    .with_host_threads(launch_threads)
+                    .with_backend(self.params.compute_backend.instance()),
+            );
+            // 4,096 full rows (at least 1 MiB), the scale of the paper's 4 GB
+            // cache relative to its datasets; on a device at most half of the
+            // memory left.
+            let mut budget = ((4096 * grouped.n() * 8) as u64).max(1 << 20);
+            if let Some(d) = device {
+                budget = budget.min(d.mem_available() / 2).max(1 << 16);
             }
-            None => None,
+            let layout = ClassLayout::new(offsets.to_vec());
+            let store = SharedKernelStore::new(oracle, layout, budget, device)?;
+            (
+                RowSource::Shared(Arc::new(store)),
+                data_mem,
+                setup.elapsed(),
+            )
+        } else {
+            (RowSource::PerProblem { launch_threads }, None, 0.0)
         };
-        let oracle = Arc::new(
-            KernelOracle::new(sub, self.params.kernel)
-                .with_host_threads(host_threads)
-                .with_backend(self.params.compute_backend.instance()),
-        );
-        let mut rows = BufferedRows::new(
-            oracle.clone(),
-            self.params.cache_rows,
-            ReplacementPolicy::Lru,
-            device,
-        )?;
-        let sim_before = exec.elapsed();
-        let caps = self.caps_for(prob);
-        let result = ClassicSmoSolver::new(self.params.smo())
-            .solve_weighted(&prob.y, &mut rows, exec, &caps);
-        let sigmoid = self.fit_sigmoid_for(grouped, offsets, prob, &result, exec);
+
+        // Memory plan: each active problem of a shared store needs its
+        // working-set assembly region (ws x n_pair x 8 B) on the device.
+        let footprint =
+            |p: &BinaryProblem| -> u64 { (self.params.ws_size.min(p.n()) * p.n() * 8) as u64 };
+        let wave_cap = if concurrent { MAX_WAVE } else { 1 };
+        let mut conc = wave_cap.min(problems.len()).max(1);
+        if let Some(d) = device.filter(|_| conc > 1) {
+            let mut worst: Vec<u64> = problems.iter().map(footprint).collect();
+            worst.sort_unstable_by(|a, b| b.cmp(a));
+            while conc > 1 && worst[..conc].iter().sum::<u64>() > d.mem_available() {
+                conc -= 1;
+            }
+        }
+
+        let mut fits: Vec<Option<Result<BinaryFit, DeviceError>>> =
+            (0..problems.len()).map(|_| None).collect();
+        for (w, wave_fits) in fits.chunks_mut(conc).enumerate() {
+            let wave = &problems[w * conc..w * conc + wave_fits.len()];
+            let frac = 1.0 / wave.len() as f64;
+            // Claim every member's working-set region up front, so device
+            // exhaustion surfaces here rather than inside a worker thread.
+            // The regions live until the whole wave retires.
+            let mut ws_mems = Vec::new();
+            if let (RowSource::Shared(_), Some(d)) = (&source, device) {
+                for p in wave {
+                    ws_mems.push(d.alloc(footprint(p))?);
+                }
+            }
+            for_each_chunk(host_threads, 1, wave_fits, |first, piece| {
+                for (p, slot) in wave[first..].iter().zip(piece) {
+                    let exec = self.backend.executor(device, frac);
+                    *slot = Some(self.solve_one(grouped, offsets, p, &source, device, &*exec));
+                }
+            });
+            drop(ws_mems);
+            let mut wave_s = 0.0f64;
+            for slot in wave_fits.iter() {
+                // gmp:allow-panic — this wave just filled these slots
+                match slot.as_ref().expect("wave slot filled") {
+                    Ok(fit) => wave_s = wave_s.max(fit.sim_s),
+                    Err(e) => return Err(e.clone()),
+                }
+            }
+            sim_s += wave_s;
+        }
+        let fits = fits
+            .into_iter()
+            // gmp:allow-panic — every problem is in exactly one wave
+            .map(|f| f.expect("all waves ran"))
+            .collect::<Result<_, _>>()?;
+        Ok((fits, sim_s, conc))
+    }
+
+    /// Solve one binary problem on its own executor `exec`, with rows from
+    /// `source`, and fit its sigmoid. Safe to call from concurrent wave
+    /// workers: every mutable structure (executor, rows view, solver
+    /// state) is local, and per-problem kernel evals come from the rows'
+    /// own accounting (the store's owner attribution when shared).
+    fn solve_one(
+        &self,
+        grouped: &Dataset,
+        offsets: &[usize],
+        p: &BinaryProblem,
+        source: &RowSource,
+        device: Option<&Device>,
+        exec: &dyn Executor,
+    ) -> Result<BinaryFit, DeviceError> {
+        let caps = self.caps_for(p);
+        let result = match source {
+            RowSource::Shared(store) => {
+                let (s, t) = (p.s as usize, p.t as usize);
+                let mut rows = SharedRows::new(store.clone(), s, t, self.params.ws_size);
+                BatchedSmoSolver::new(self.params.batched())
+                    .solve_weighted(&p.y, &mut rows, exec, &caps)
+            }
+            RowSource::PerProblem { launch_threads } => {
+                let sub = Arc::new(grouped.x.select_rows(&p.grouped_rows(offsets)));
+                // On a device the problem's data goes up for its solve (§3.2).
+                let bytes = sub.mem_bytes() as u64;
+                let _data_mem = device.map(|d| d.alloc(bytes)).transpose()?;
+                exec.charge_transfer(bytes);
+                let oracle = KernelOracle::new(sub, self.params.kernel)
+                    .with_host_threads(*launch_threads)
+                    .with_backend(self.params.compute_backend.instance());
+                let mut rows = BufferedRows::new(
+                    Arc::new(oracle),
+                    self.params.cache_rows,
+                    ReplacementPolicy::Lru,
+                    device,
+                )?;
+                ClassicSmoSolver::new(self.params.smo())
+                    .solve_weighted(&p.y, &mut rows, exec, &caps)
+            }
+        };
+        let sigmoid = self.fit_sigmoid(grouped, offsets, p, &result, exec);
         Ok(BinaryFit {
-            kernel_evals: oracle.eval_count(),
-            sim_s: exec.elapsed() - sim_before,
+            sim_s: exec.elapsed(),
             result,
             sigmoid,
         })
     }
 
-    /// Fit the binary problem's sigmoid, honouring `sigmoid_cv_folds`.
-    fn fit_sigmoid_for(
+    /// Fit the binary problem's sigmoid: on k-fold cross-validated decision
+    /// values when `sigmoid_cv_folds >= 2`, else directly on the
+    /// training-set decision values the final indicators give for free.
+    fn fit_sigmoid(
         &self,
         grouped: &Dataset,
         offsets: &[usize],
@@ -346,7 +499,19 @@ impl MpSvmTrainer {
         if self.params.sigmoid_cv_folds >= 2 {
             return Some(self.fit_sigmoid_cv(grouped, offsets, prob, exec));
         }
-        self.fit_sigmoid(result, &prob.y, exec)
+        let params = sigmoid_train(
+            &decision_values_from_f(&result.f, &prob.y, result.rho),
+            &prob.y,
+        );
+        // Newton's method: each iteration is two reductions over n plus a
+        // line search of a few objective evaluations (Phase ii of §3.2).
+        let n = prob.n() as u64;
+        for _ in 0..params.iterations {
+            exec.charge(KernelCost::map(n, 12, 16));
+            exec.charge(KernelCost::reduction(n));
+            exec.charge(KernelCost::reduction(n));
+        }
+        Some(params)
     }
 
     /// LibSVM's calibration protocol (`svm_binary_svc_probability`): fit
@@ -395,252 +560,6 @@ impl MpSvmTrainer {
         }
         sigmoid_train(&dec, &prob.y)
     }
-
-    fn fit_sigmoid(
-        &self,
-        result: &SolverResult,
-        y: &[f64],
-        exec: &dyn Executor,
-    ) -> Option<SigmoidParams> {
-        if !self.params.probability {
-            return None;
-        }
-        let v = decision_values_from_f(&result.f, y, result.rho);
-        let params = sigmoid_train(&v, y);
-        // Newton's method: each iteration is two reductions over n plus a
-        // line search of a few objective evaluations (Phase ii of §3.2).
-        let n = y.len() as u64;
-        for _ in 0..params.iterations {
-            exec.charge(KernelCost::map(n, 12, 16));
-            exec.charge(KernelCost::reduction(n));
-            exec.charge(KernelCost::reduction(n));
-        }
-        Some(params)
-    }
-
-    fn train_cpu_classic(
-        &self,
-        grouped: &Dataset,
-        offsets: &[usize],
-        problems: &[BinaryProblem],
-        threads: usize,
-    ) -> (Vec<BinaryFit>, f64) {
-        let exec = CpuExecutor::xeon(threads as u32);
-        let host_threads = effective_host_threads(threads);
-        let fits = problems
-            .iter()
-            .map(|p| {
-                self.solve_classic_sub(grouped, offsets, p, &exec, host_threads, None)
-                    // gmp:allow-panic — CPU executor has no device memory to exhaust
-                    .expect("CPU path cannot hit device errors")
-            })
-            .collect();
-        let sim = exec.elapsed();
-        (fits, sim)
-    }
-
-    fn train_cpu_batched(
-        &self,
-        grouped: &Dataset,
-        offsets: &[usize],
-        problems: &[BinaryProblem],
-        threads: usize,
-    ) -> (Vec<BinaryFit>, f64) {
-        let exec = CpuExecutor::xeon(threads as u32);
-        let host_threads = effective_host_threads(threads);
-        let oracle = Arc::new(
-            KernelOracle::new(Arc::new(grouped.x.clone()), self.params.kernel)
-                .with_host_threads(host_threads)
-                .with_backend(self.params.compute_backend.instance()),
-        );
-        let layout = ClassLayout::new(offsets.to_vec());
-        let store = Arc::new(
-            SharedKernelStore::new(oracle, layout, shared_store_budget_bytes(grouped.n()), None)
-                // gmp:allow-panic — host-memory store cannot exhaust simulated device memory
-                .expect("host store needs no device memory"),
-        );
-        let solver = BatchedSmoSolver::new(self.params.batched());
-        let mut fits = Vec::with_capacity(problems.len());
-        for p in problems {
-            let mut rows = SharedRows::new(
-                store.clone(),
-                p.s as usize,
-                p.t as usize,
-                self.params.ws_size,
-            );
-            let sim_before = exec.elapsed();
-            let caps = self.caps_for(p);
-            let result = solver.solve_weighted(&p.y, &mut rows, &exec, &caps);
-            let sigmoid = self.fit_sigmoid_for(grouped, offsets, p, &result, &exec);
-            fits.push(BinaryFit {
-                kernel_evals: result.telemetry.rows.kernel_evals,
-                sim_s: exec.elapsed() - sim_before,
-                result,
-                sigmoid,
-            });
-        }
-        let sim = exec.elapsed();
-        (fits, sim)
-    }
-
-    fn train_gpu_baseline(
-        &self,
-        grouped: &Dataset,
-        offsets: &[usize],
-        problems: &[BinaryProblem],
-        device: &Device,
-    ) -> Result<(Vec<BinaryFit>, f64), DeviceError> {
-        let mut total_sim = 0.0;
-        let mut fits = Vec::with_capacity(problems.len());
-        for p in problems {
-            // One binary SVM at a time, full device (§3.2).
-            let stream = Stream::new(device.clone(), 1.0);
-            let fit = self.solve_classic_sub(grouped, offsets, p, &stream, 1, Some(device))?;
-            total_sim += stream.elapsed();
-            fits.push(fit);
-        }
-        Ok((fits, total_sim))
-    }
-
-    fn train_gmp(
-        &self,
-        grouped: &Dataset,
-        offsets: &[usize],
-        problems: &[BinaryProblem],
-        device: &Device,
-        max_concurrent: usize,
-    ) -> Result<(Vec<BinaryFit>, f64, usize), DeviceError> {
-        // One resident copy of the (grouped) dataset serves all problems.
-        let data_bytes = grouped.x.mem_bytes() as u64;
-        let _data_mem = device.alloc(data_bytes)?;
-        let setup = Stream::new(device.clone(), 1.0);
-        setup.charge_transfer(data_bytes);
-        let mut total_sim = setup.elapsed();
-
-        let host_threads = self.resolve_host_threads();
-        // Waves run one problem per host thread; threads a short problem
-        // list leaves idle (a binary set has one problem) go to each launch.
-        let oracle = Arc::new(
-            KernelOracle::new(Arc::new(grouped.x.clone()), self.params.kernel)
-                .with_host_threads(host_threads / problems.len().max(1))
-                .with_backend(self.params.compute_backend.instance()),
-        );
-        let layout = ClassLayout::new(offsets.to_vec());
-        // Shared store: half of the remaining device memory, capped.
-        let budget = shared_store_budget_bytes(grouped.n())
-            .min(device.mem_available() / 2)
-            .max(1 << 16);
-        let store = Arc::new(SharedKernelStore::new(
-            oracle,
-            layout,
-            budget,
-            Some(device),
-        )?);
-
-        // Concurrency plan: each active problem needs its working-set
-        // assembly region (ws x n_pair x 8 B) on the device.
-        let footprint =
-            |p: &BinaryProblem| -> u64 { (self.params.ws_size.min(p.n()) * p.n() * 8) as u64 };
-        let upper = if max_concurrent == 0 {
-            8
-        } else {
-            max_concurrent
-        };
-        let mut conc = upper.min(problems.len()).max(1);
-        while conc > 1 {
-            let mut worst: Vec<u64> = problems.iter().map(footprint).collect();
-            worst.sort_unstable_by(|a, b| b.cmp(a));
-            let need: u64 = worst.iter().take(conc).sum();
-            if need <= device.mem_available() {
-                break;
-            }
-            conc -= 1;
-        }
-
-        let solver = BatchedSmoSolver::new(self.params.batched());
-        let mut fits: Vec<Option<BinaryFit>> = (0..problems.len()).map(|_| None).collect();
-        for (w, wave_fits) in fits.chunks_mut(conc).enumerate() {
-            let wave = &problems[w * conc..w * conc + wave_fits.len()];
-            let frac = 1.0 / wave.len() as f64;
-            // Claim every active problem's working-set region up front, so
-            // device-memory exhaustion surfaces as an error here rather
-            // than a panic inside a worker thread. The regions live until
-            // the whole wave retires — exactly the concurrency plan above.
-            let mut ws_mems = Vec::with_capacity(wave.len());
-            for p in wave {
-                ws_mems.push(device.alloc(footprint(p))?);
-            }
-            // The wave's binary problems run on real host threads, all
-            // hammering the one shared kernel store. Each thread takes a
-            // contiguous run of the wave, so the assignment is
-            // deterministic; single-flight in the store keeps each (row,
-            // class) segment computed once regardless of interleaving, and
-            // every per-problem result is independent of the thread count
-            // (pinned by the concurrency tests).
-            for_each_chunk(host_threads, 1, wave_fits, |first, piece| {
-                for (p, slot) in wave[first..].iter().zip(piece) {
-                    *slot = Some(
-                        self.solve_gmp_one(grouped, offsets, p, &store, device, frac, &solver),
-                    );
-                }
-            });
-            drop(ws_mems);
-            let wave_max = wave_fits
-                .iter()
-                // gmp:allow-panic — this wave just filled these slots
-                .map(|f| f.as_ref().expect("wave slot filled").sim_s)
-                .fold(0.0f64, f64::max);
-            total_sim += wave_max;
-        }
-        let fits: Vec<BinaryFit> = fits
-            .into_iter()
-            // gmp:allow-panic — every problem index is assigned to exactly one wave, so all slots are filled
-            .map(|f| f.expect("all waves ran"))
-            .collect();
-        Ok((fits, total_sim, conc))
-    }
-
-    /// Solve one GMP binary problem on its own fractional stream against
-    /// the shared kernel store. Safe to call from concurrent wave workers:
-    /// every mutable structure (stream, rows view, solver state) is local,
-    /// and per-problem `kernel_evals` come from the store's owner-attributed
-    /// accounting rather than racy oracle-counter deltas.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_gmp_one(
-        &self,
-        grouped: &Dataset,
-        offsets: &[usize],
-        p: &BinaryProblem,
-        store: &Arc<SharedKernelStore>,
-        device: &Device,
-        frac: f64,
-        solver: &BatchedSmoSolver,
-    ) -> BinaryFit {
-        let stream = Stream::new(device.clone(), frac);
-        let mut rows = SharedRows::new(
-            store.clone(),
-            p.s as usize,
-            p.t as usize,
-            self.params.ws_size,
-        );
-        let caps = self.caps_for(p);
-        let result = solver.solve_weighted(&p.y, &mut rows, &stream, &caps);
-        let sigmoid = self.fit_sigmoid_for(grouped, offsets, p, &result, &stream);
-        BinaryFit {
-            kernel_evals: result.telemetry.rows.kernel_evals,
-            sim_s: stream.elapsed(),
-            result,
-            sigmoid,
-        }
-    }
-}
-
-/// Device-memory budget heuristic for the shared kernel store: enough for a
-/// few thousand full rows, the scale of the paper's 4 GB cache relative to
-/// its datasets.
-fn shared_store_budget_bytes(n: usize) -> u64 {
-    // 4096 full rows, at least 1 MiB.
-    ((4096 * n * 8) as u64).max(1 << 20)
 }
 
 /// Resolve a real host-thread count. An explicit request is honoured
@@ -660,15 +579,6 @@ pub(crate) fn resolve_host_threads_opt(explicit: Option<usize>) -> usize {
                     .unwrap_or(1)
             }),
     }
-}
-
-/// Real host threads to use for numeric work (the cost model still charges
-/// for the configured thread count; execution uses what the machine has).
-fn effective_host_threads(configured: usize) -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    configured.min(avail).max(1)
 }
 
 #[cfg(test)]
@@ -845,7 +755,6 @@ mod tests {
     fn tiny_device_rejects_gmp() {
         let backend = Backend::Gmp {
             device: DeviceConfig::tiny_test(256),
-            max_concurrent: 0,
         };
         let err = MpSvmTrainer::new(params(), backend).train(&blobs3());
         assert!(matches!(err, Err(TrainError::Device(_))));
@@ -964,6 +873,84 @@ mod tests {
                 .train(&with_value_at(v))
                 .unwrap_err();
             assert_eq!(err, TrainError::NonFiniteFeature { row: 2, feature: 1 });
+        }
+    }
+
+    /// The parameter `train` refuses, with the message it gives.
+    fn refused(trainer: MpSvmTrainer) -> (String, f64, String) {
+        let err = trainer.train(&blobs3()).unwrap_err();
+        match &err {
+            TrainError::InvalidParameter { name, value, .. } => {
+                (name.clone(), *value, err.to_string())
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+
+    const NOT_POSITIVE: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn c_must_be_finite_and_positive() {
+        for c in NOT_POSITIVE {
+            let (name, value, msg) = refused(MpSvmTrainer::new(
+                params().with_c(c),
+                Backend::gmp_default(),
+            ));
+            assert_eq!(name, "C");
+            assert_eq!(value.to_bits(), c.to_bits());
+            assert_eq!(msg, format!("C must be finite and > 0, got {c}"));
+        }
+    }
+
+    #[test]
+    fn eps_must_be_finite_and_positive() {
+        for eps in NOT_POSITIVE {
+            let mut p = params();
+            p.eps = eps;
+            let (name, _, msg) = refused(MpSvmTrainer::new(p, Backend::libsvm()));
+            assert_eq!(name, "eps");
+            assert_eq!(msg, format!("eps must be finite and > 0, got {eps}"));
+        }
+    }
+
+    #[test]
+    fn gamma_must_be_finite_and_not_negative() {
+        for gamma in [-0.5, f64::NAN, f64::INFINITY] {
+            for kernel in [
+                KernelKind::Rbf { gamma },
+                KernelKind::Poly {
+                    gamma,
+                    coef0: 0.0,
+                    degree: 3,
+                },
+                KernelKind::Sigmoid { gamma, coef0: 0.0 },
+            ] {
+                let trainer = MpSvmTrainer::new(params().with_kernel(kernel), Backend::cmp_svm());
+                let (name, _, msg) = refused(trainer);
+                assert_eq!(name, "gamma");
+                assert_eq!(msg, format!("gamma must be finite and >= 0, got {gamma}"));
+            }
+        }
+        let zero = MpSvmTrainer::new(params().with_rbf(0.0), Backend::gmp_default());
+        assert_eq!(zero.check_params(), Ok(()));
+        let linear = MpSvmTrainer::new(
+            params().with_kernel(KernelKind::Linear),
+            Backend::gmp_default(),
+        );
+        assert_eq!(linear.check_params(), Ok(()));
+    }
+
+    #[test]
+    fn class_weights_must_be_finite_and_positive() {
+        for w in NOT_POSITIVE {
+            let trainer = MpSvmTrainer::new(params(), Backend::gpu_baseline_default())
+                .with_class_weights(vec![1.0, w]);
+            let (name, _, msg) = refused(trainer);
+            assert_eq!(name, "weight of class 1");
+            assert_eq!(
+                msg,
+                format!("weight of class 1 must be finite and > 0, got {w}")
+            );
         }
     }
 }

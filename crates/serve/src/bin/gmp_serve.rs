@@ -120,7 +120,6 @@ fn gmp_cli_parse_backend(name: &str) -> Result<Backend, String> {
         "gmp" => Backend::gmp_default(),
         "gmp-v100" => Backend::Gmp {
             device: gmp_svm::DeviceConfig::tesla_v100(),
-            max_concurrent: 0,
         },
         other => {
             return Err(format!(

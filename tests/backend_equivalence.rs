@@ -11,6 +11,8 @@
 //! 4. A many-feature, many-binary scenario (the News20 stand-in) keeps
 //!    pinned bits through every predict route: offline at any host-thread
 //!    count and served in batches of any size.
+//! 5. The four comparator backends (LibSVM with and without OpenMP, the
+//!    GPU baseline, CMP-SVM) keep their pinned training results.
 
 use gmp_integration::{
     fnv64, fnv64_f64s, fnv64_u32s, golden_backend, golden_dataset, golden_params,
@@ -240,5 +242,88 @@ fn news20_stand_in_matches_goldens_on_every_predict_route() {
         }
         let served = (fnv64_f64s(&dv), fnv64_f64s(&prob), fnv64_u32s(&labels));
         assert_eq!(served, golden, "batches of {batch}");
+    }
+}
+
+/// The comparator scenario: four overlapping classes (six binaries of about
+/// 120 rows), a weighted class, and a 16-row LRU cache, so the classic paths
+/// evict and the batched one refreshes its working set many times.
+fn comparator_outcome(backend: Backend) -> TrainOutcome {
+    let data = gmp_datasets::SynthSpec {
+        n: 240,
+        dim: 400,
+        classes: 4,
+        density: 0.05,
+        class_sep: 0.6,
+        label_noise: 0.05,
+        scale: 1.0,
+        seed: 21,
+    }
+    .generate();
+    let mut params = golden_params().with_c(5.0).with_working_set(16, 8);
+    params.cache_rows = 16;
+    MpSvmTrainer::new(params, backend)
+        .with_class_weights(vec![1.0, 1.5])
+        .with_host_threads(Some(1))
+        .train(&data)
+        // gmp:allow-panic — test
+        .expect("training the comparator scenario")
+}
+
+/// Training goldens of the four comparator backends, captured before they
+/// ran through the one wave loop: model-text FNV, kernel evals, rows
+/// computed, total SMO iterations and the bits of the simulated seconds.
+#[test]
+fn comparator_backends_match_training_goldens() {
+    struct Golden {
+        backend: Backend,
+        model_fnv: u64,
+        kernel_evals: u64,
+        rows_computed: u64,
+        iterations: u64,
+        sim_bits: u64,
+    }
+    let libsvm = |backend| Golden {
+        backend,
+        model_fnv: 0xc9d3fb7b0dcecd77,
+        kernel_evals: 282_599,
+        rows_computed: 2_355,
+        iterations: 1_178,
+        sim_bits: 0x3f68c9388a51c1e0,
+    };
+    let goldens = [
+        libsvm(Backend::libsvm()),
+        libsvm(Backend::libsvm_openmp()),
+        Golden {
+            sim_bits: 0x3fa8a3df55b28b96,
+            ..libsvm(Backend::gpu_baseline_default())
+        },
+        Golden {
+            backend: Backend::cmp_svm(),
+            model_fnv: 0x7205bfcca7c69369,
+            kernel_evals: 54_537,
+            rows_computed: 909,
+            iterations: 1_895,
+            sim_bits: 0x3f50b5cff7ec5205,
+        },
+    ];
+    for g in goldens {
+        let name = g.backend.label();
+        let on_device = matches!(g.backend, Backend::GpuBaseline { .. });
+        let out = comparator_outcome(g.backend);
+        let r = &out.report;
+        assert_eq!(fnv64(out.model.to_text().bytes()), g.model_fnv, "{name}");
+        assert_eq!(r.kernel_evals, g.kernel_evals, "{name}");
+        assert_eq!(r.rows_computed, g.rows_computed, "{name}");
+        assert_eq!(r.total_iterations(), g.iterations, "{name}");
+        // The device clock is a sum in one fixed order. The host clocks may
+        // round differently with the order the problems' times are added.
+        let golden_sim = f64::from_bits(g.sim_bits);
+        if on_device {
+            assert_eq!(r.sim_s.to_bits(), g.sim_bits, "{name}");
+        } else {
+            let rel = (r.sim_s - golden_sim).abs() / golden_sim;
+            assert!(rel <= 1e-12, "{name}: sim_s {} vs {golden_sim}", r.sim_s);
+        }
     }
 }

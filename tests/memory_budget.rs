@@ -29,15 +29,9 @@ fn params() -> SvmParams {
 fn peak_memory_never_exceeds_capacity() {
     let device = DeviceConfig::tesla_p100();
     let capacity = device.global_mem_bytes;
-    let out = MpSvmTrainer::new(
-        params(),
-        Backend::Gmp {
-            device,
-            max_concurrent: 0,
-        },
-    )
-    .train(&blobs(300, 5))
-    .expect("train");
+    let out = MpSvmTrainer::new(params(), Backend::Gmp { device })
+        .train(&blobs(300, 5))
+        .expect("train");
     assert!(out.report.peak_device_mem > 0);
     assert!(out.report.peak_device_mem <= capacity);
 }
@@ -50,7 +44,6 @@ fn smaller_device_lowers_concurrency_not_correctness() {
         params(),
         Backend::Gmp {
             device: DeviceConfig::tesla_p100(),
-            max_concurrent: 0,
         },
     )
     .train(&data)
@@ -58,15 +51,9 @@ fn smaller_device_lowers_concurrency_not_correctness() {
     // Constrained device: just enough for data + store + one problem.
     let mut small_cfg = DeviceConfig::tesla_p100();
     small_cfg.global_mem_bytes = 3 * (1 << 20);
-    let small = MpSvmTrainer::new(
-        params(),
-        Backend::Gmp {
-            device: small_cfg,
-            max_concurrent: 0,
-        },
-    )
-    .train(&data)
-    .expect("small device");
+    let small = MpSvmTrainer::new(params(), Backend::Gmp { device: small_cfg })
+        .train(&data)
+        .expect("small device");
     assert!(small.report.concurrency <= big.report.concurrency);
     assert!(big.report.concurrency > 1, "expected concurrent training");
     // Same classifier either way.
@@ -84,7 +71,6 @@ fn hopeless_budget_reports_device_error() {
         params(),
         Backend::Gmp {
             device: DeviceConfig::tiny_test(128),
-            max_concurrent: 0,
         },
     )
     .train(&blobs(200, 3));
@@ -128,18 +114,4 @@ fn buffer_allocation_capacity_cycle() {
     // Now it fits.
     let b3 = KernelBuffer::new(32, 64, ReplacementPolicy::FifoBatch, Some(&dev));
     assert!(b3.is_ok());
-}
-
-#[test]
-fn explicit_concurrency_cap_is_respected() {
-    let out = MpSvmTrainer::new(
-        params(),
-        Backend::Gmp {
-            device: DeviceConfig::tesla_p100(),
-            max_concurrent: 2,
-        },
-    )
-    .train(&blobs(300, 5)) // 10 binary problems
-    .expect("train");
-    assert!(out.report.concurrency <= 2);
 }
